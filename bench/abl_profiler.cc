@@ -10,7 +10,13 @@
  *   batch     armed, one steady_clock read per 64 events
  *   trace     armed, two clock reads + one slice record per event
  *
- * Interleaved repetitions with min-of-reps reject scheduler noise.
+ * All configurations drive one shared queue and event set, so heap
+ * layout is identical across them and only the profiler state
+ * differs. Interleaved repetitions with min-of-reps give the ns/op
+ * table. The gate compares each disabled rep with the off rep run
+ * right next to it and takes the median of those ratios: a shared
+ * host changes speed over the run, and a ratio of two minima taken
+ * at different moments mistakes that drift for profiler overhead.
  * Prints ns/op per configuration, writes BENCH_profiler.json, and
  * gates: disabled must be within 2% of off (the ctest
  * ProfilerOverheadGate runs exactly this binary).
@@ -50,17 +56,15 @@ class CountEvent : public Event
 enum class Mode { Off, Disabled, Batch, Trace };
 
 constexpr int numEvents = 4096;
-constexpr int rounds = 50;
+constexpr int rounds = 10;
 constexpr std::uint64_t opsPerRep =
     (std::uint64_t)numEvents * rounds;
 constexpr std::uint64_t seed = 0x9e11'0b5eULL;
 
-/** One rep of the schedule/service pattern; returns ns/op. */
+/** One rep of the schedule/service pattern on @p eq; returns ns/op. */
 double
-runRep(Mode mode, std::uint64_t &count)
+runRep(Mode mode, EventQueue &eq, std::deque<CountEvent> &events)
 {
-    EventQueue eq;
-
     sim::ProfilerConfig pc;
     pc.enabled = true;
     if (mode == Mode::Trace)
@@ -71,10 +75,6 @@ runRep(Mode mode, std::uint64_t &count)
         if (mode != Mode::Disabled)
             prof.arm();
     }
-
-    std::deque<CountEvent> events;
-    for (int i = 0; i < numEvents; ++i)
-        events.emplace_back(count);
 
     using clock = std::chrono::steady_clock;
     std::mt19937_64 rng(seed);
@@ -89,6 +89,7 @@ runRep(Mode mode, std::uint64_t &count)
 
     if (prof.armed())
         prof.disarm();
+    eq.setProfiler(nullptr);
     double ns = (double)std::chrono::duration_cast<
         std::chrono::nanoseconds>(end - start).count();
     return ns / (double)opsPerRep;
@@ -116,20 +117,33 @@ main(int argc, char **argv)
         {Mode::Batch, "batch"},
         {Mode::Trace, "trace"},
     };
-    constexpr int reps = 15;
+    constexpr int reps = 75;
 
     std::uint64_t count = 0;
+    EventQueue eq;
+    std::deque<CountEvent> events;
+    for (int i = 0; i < numEvents; ++i)
+        events.emplace_back(count);
+
     double best[4];
     std::fill(std::begin(best), std::end(best), 1e30);
+    std::vector<double> disabled_vs_off;
 
-    // Warm up pools/allocator, then interleave configurations so
+    // Warm up the queue's storage, then interleave configurations so
     // frequency ramps and background noise hit all of them alike.
+    // Odd reps run the configurations in reverse so neither side of
+    // the off/disabled pair always goes first.
     for (const auto &cfg : configs)
-        runRep(cfg.mode, count);
-    for (int rep = 0; rep < reps; ++rep)
-        for (int c = 0; c < 4; ++c)
-            best[c] = std::min(best[c],
-                               runRep(configs[c].mode, count));
+        runRep(cfg.mode, eq, events);
+    for (int rep = 0; rep < reps; ++rep) {
+        double ns[4];
+        for (int i = 0; i < 4; ++i) {
+            int c = rep % 2 ? 3 - i : i;
+            ns[c] = runRep(configs[c].mode, eq, events);
+            best[c] = std::min(best[c], ns[c]);
+        }
+        disabled_vs_off.push_back(ns[1] / ns[0]);
+    }
 
     std::printf("# abl_profiler: event-loop cost by profiler state "
                 "(min of %d reps)\n", reps);
@@ -138,7 +152,12 @@ main(int argc, char **argv)
         std::printf("%-10s %12.2f %9.3fx\n", configs[c].name,
                     best[c], best[c] / best[0]);
 
-    double disabled_ratio = best[1] / best[0];
+    auto mid = disabled_vs_off.begin() + disabled_vs_off.size() / 2;
+    std::nth_element(disabled_vs_off.begin(), mid,
+                     disabled_vs_off.end());
+    double disabled_ratio = *mid;
+    std::printf("disabled vs off, median of %d paired reps: %.3fx\n",
+                reps, disabled_ratio);
 
     std::ofstream json(json_path);
     json << "{\n  \"bench\": \"profiler\",\n  \"configs\": [\n";

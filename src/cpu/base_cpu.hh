@@ -14,7 +14,9 @@
 #ifndef G5P_CPU_BASE_CPU_HH
 #define G5P_CPU_BASE_CPU_HH
 
+#include <algorithm>
 #include <functional>
+#include <list>
 
 #include "isa/decoder.hh"
 #include "isa/inst.hh"
@@ -43,6 +45,40 @@ struct CpuParams
     int cpuId = 0;
     Addr resetPc = 0x1000;
     std::uint64_t maxInsts = 0; ///< stop after N insts (0 = no limit)
+};
+
+/**
+ * Owner of the records a CPU attaches to its in-flight packets as
+ * sender state (fetch blocks, pending loads). A packet only points at
+ * its record; the CPU owns it, so a packet or a delayed-issue event
+ * destroyed unanswered at teardown leaks nothing.
+ */
+template <typename T>
+class InflightRecords
+{
+  public:
+    /** Store @p record; the pointer stays valid until take(). */
+    T *
+    add(T record)
+    {
+        records_.push_back(std::move(record));
+        return &records_.back();
+    }
+
+    /** Remove the record at @p record and return it. */
+    T
+    take(T *record)
+    {
+        auto it = std::find_if(records_.begin(), records_.end(),
+                               [&](const T &r) { return &r == record; });
+        g5p_assert(it != records_.end(), "unknown in-flight record");
+        T out = std::move(*it);
+        records_.erase(it);
+        return out;
+    }
+
+  private:
+    std::list<T> records_;
 };
 
 class BaseCpu : public sim::ClockedObject

@@ -11,15 +11,6 @@ namespace g5p::cpu
 namespace
 {
 
-/** Per-fetch bookkeeping carried through the memory system. */
-struct FetchReq
-{
-    Addr vpc;
-    Addr paddr;
-    unsigned bytes;      ///< fetch-block length
-    std::uint64_t epoch;
-};
-
 /** Fetch-block size: Minor fetches whole 32B lines (gem5 Fetch1). */
 constexpr unsigned minorFetchBytes = 32;
 
@@ -198,8 +189,8 @@ MinorCpu::tryFetch()
                      minorFetchBytes;
     auto bytes = (unsigned)(block_end - fetchPc_);
 
-    auto *req = new FetchReq{fetchPc_, itr.translation.paddr, bytes,
-                             fetchEpoch_};
+    FetchReq *req = fetchReqs_.add(
+        FetchReq{fetchPc_, itr.translation.paddr, bytes, fetchEpoch_});
     ++fetchesInFlight_;
     fetchPc_ = block_end; // sequential guess; decode may redirect
 
@@ -223,23 +214,23 @@ void
 MinorCpu::recvInstResp(mem::PacketPtr pkt)
 {
     G5P_TRACE_SCOPE("MinorCpu::recvInstResp", CpuDetailed, true);
-    auto *req = static_cast<FetchReq *>(pkt->senderState());
-    delete pkt;
     g5p_assert(fetchesInFlight_ > 0, "%s: stray fetch response",
                name().c_str());
+    FetchReq req = fetchReqs_.take(
+        static_cast<FetchReq *>(pkt->senderState()));
+    delete pkt;
     --fetchesInFlight_;
 
-    if (halted_ || stopping_ || req->epoch != fetchEpoch_) {
-        delete req; // wrong-path or stale fetch
-        maybeReschedule();
+    if (halted_ || stopping_ || req.epoch != fetchEpoch_) {
+        maybeReschedule(); // wrong-path or stale fetch
         return;
     }
 
     // Decode the whole block in fetch order; stop at the first
     // predicted-taken control instruction ("Fetch2" prediction).
-    Addr vpc = req->vpc;
-    Addr ppc = req->paddr;
-    Addr vend = req->vpc + req->bytes;
+    Addr vpc = req.vpc;
+    Addr ppc = req.paddr;
+    Addr vend = req.vpc + req.bytes;
     Addr next_fetch = vend;
 
     while (vpc < vend) {
@@ -259,7 +250,7 @@ MinorCpu::recvInstResp(mem::PacketPtr pkt)
         }
 
         inputBuffer_.push_back(
-            FetchedInst{inst, vpc, pred_npc, req->epoch});
+            FetchedInst{inst, vpc, pred_npc, req.epoch});
 
         if (pred_npc != vpc + isa::instBytes) {
             next_fetch = pred_npc;
@@ -270,7 +261,6 @@ MinorCpu::recvInstResp(mem::PacketPtr pkt)
     }
 
     fetchPc_ = next_fetch;
-    delete req;
     maybeReschedule();
 }
 
@@ -287,7 +277,8 @@ MinorCpu::execReadMem(Addr vaddr, unsigned size)
 
     // The response is matched to its load via sender state (several
     // loads can be in flight and L1 responses may reorder).
-    auto *record = new InflightLoad{pendingLoadInst_, memData_};
+    InflightLoad *record =
+        inflightLoads_.add(InflightLoad{pendingLoadInst_, memData_});
     Addr paddr = tr.translation.paddr;
     auto issue = [this, paddr, size, record] {
         auto *pkt = new mem::Packet(mem::MemCmd::ReadReq, paddr, size);
@@ -335,16 +326,16 @@ MinorCpu::recvDataResp(mem::PacketPtr pkt)
 {
     G5P_TRACE_SCOPE("MinorCpu::recvDataResp", CpuDetailed, true);
     bool is_read = pkt->cmd() == mem::MemCmd::ReadResp;
-    auto *record = static_cast<InflightLoad *>(pkt->senderState());
+    auto *state = static_cast<InflightLoad *>(pkt->senderState());
     delete pkt;
 
     if (is_read) {
-        g5p_assert(record && outstandingLoads_ > 0,
+        g5p_assert(state && outstandingLoads_ > 0,
                    "%s: stray load response", name().c_str());
-        record->inst->completeAcc(ctx_, record->data);
-        scoreboard_[record->inst->rd()] = false;
+        InflightLoad record = inflightLoads_.take(state);
+        record.inst->completeAcc(ctx_, record.data);
+        scoreboard_[record.inst->rd()] = false;
         --outstandingLoads_;
-        delete record;
     } else {
         g5p_assert(outstandingStores_ > 0, "%s: stray store response",
                    name().c_str());

@@ -71,6 +71,15 @@ class MinorCpu : public BaseCpu
         std::uint64_t epoch = 0;
     };
 
+    /** Per-fetch bookkeeping carried through the memory system. */
+    struct FetchReq
+    {
+        Addr vpc;
+        Addr paddr;
+        unsigned bytes; ///< fetch-block length
+        std::uint64_t epoch;
+    };
+
     /** An outstanding load awaiting its dcache response. */
     struct InflightLoad
     {
@@ -101,6 +110,10 @@ class MinorCpu : public BaseCpu
     Addr fetchPc_;
     std::uint64_t fetchEpoch_ = 0;
     unsigned fetchesInFlight_ = 0;
+
+    /** Sender state of in-flight fetches and loads. */
+    InflightRecords<FetchReq> fetchReqs_;
+    InflightRecords<InflightLoad> inflightLoads_;
 
     std::deque<FetchedInst> inputBuffer_;
 

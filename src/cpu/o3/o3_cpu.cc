@@ -219,7 +219,7 @@ O3Cpu::issueStage()
 void
 O3Cpu::issueLoad(const DynInstPtr &di)
 {
-    auto *holder = new DynInstPtr(di);
+    DynInstPtr *holder = loadHolders_.add(di);
     Addr paddr = di->paddr;
     unsigned size = di->memSize;
     Cycles delay = di->dtlbLatency;
@@ -417,8 +417,8 @@ O3Cpu::fetchStage()
     unsigned bytes = (unsigned)(block_end - fetchPc_);
     bytes = std::min(bytes, o3Params_.fetchWidth * isa::instBytes);
 
-    auto *block = new FetchBlock{fetchPc_, itr.translation.paddr,
-                                 bytes, fetchEpoch_};
+    FetchBlock *block = fetchBlocks_.add(
+        FetchBlock{fetchPc_, itr.translation.paddr, bytes, fetchEpoch_});
     fetchInFlight_ = true;
     if (wrongPathMode_)
         wrongPathFetches_ += 1;
@@ -443,20 +443,20 @@ void
 O3Cpu::recvInstResp(mem::PacketPtr pkt)
 {
     G5P_TRACE_SCOPE("O3Cpu::recvInstResp", CpuDetailed, true);
-    auto *block = static_cast<FetchBlock *>(pkt->senderState());
+    FetchBlock block = fetchBlocks_.take(
+        static_cast<FetchBlock *>(pkt->senderState()));
     delete pkt;
     fetchInFlight_ = false;
 
-    if (halted_ || fetchStopped_ || block->epoch != fetchEpoch_) {
-        delete block;
+    if (halted_ || fetchStopped_ || block.epoch != fetchEpoch_) {
         maybeReschedule();
         return;
     }
 
     Cycles ready = curCycle() + o3Params_.frontendDepth;
-    Addr vpc = block->vaddr;
-    Addr ppc = block->paddr;
-    Addr vend = block->vaddr + block->bytes;
+    Addr vpc = block.vaddr;
+    Addr ppc = block.paddr;
+    Addr vend = block.vaddr + block.bytes;
     Addr next_fetch = vend;
 
     while (vpc < vend) {
@@ -492,7 +492,6 @@ O3Cpu::recvInstResp(mem::PacketPtr pkt)
     }
 
     fetchPc_ = next_fetch;
-    delete block;
     maybeReschedule();
 }
 
@@ -509,10 +508,9 @@ O3Cpu::recvDataResp(mem::PacketPtr pkt)
         return;
     }
 
-    auto *holder = static_cast<DynInstPtr *>(pkt->senderState());
+    DynInstPtr di = loadHolders_.take(
+        static_cast<DynInstPtr *>(pkt->senderState()));
     delete pkt;
-    DynInstPtr di = *holder;
-    delete holder;
 
     if (halted_) {
         maybeReschedule();

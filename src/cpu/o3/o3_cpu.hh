@@ -116,6 +116,10 @@ class O3Cpu : public BaseCpu
     o3::Lsq lsq_;
     o3::RenameMap rename_;
 
+    /** Sender state of the in-flight fetch and loads. */
+    InflightRecords<FetchBlock> fetchBlocks_;
+    InflightRecords<o3::DynInstPtr> loadHolders_;
+
     std::deque<o3::DynInstPtr> fetchQueue_;
     std::deque<Cycles> fetchReadyCycle_; ///< parallel: earliest dispatch
 

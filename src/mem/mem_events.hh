@@ -41,7 +41,7 @@ namespace g5p::mem
 
 /**
  * Base: a pool-allocated, auto-delete event owning one packet until
- * it fires. Subclasses call take() exactly once, in invoke().
+ * it fires. Subclasses call take() exactly once, in process().
  */
 class PooledPacketEvent : public sim::Event
 {
@@ -101,9 +101,8 @@ class PacketRespEvent final : public PooledPacketEvent
             "mem::PacketRespEvent"));
     }
 
-    /** Devirtualized body (dispatch-table target). */
     G5P_HOT void
-    invoke()
+    process() override
     {
         PacketPtr pkt = take();
         if (makeResponse_)
@@ -111,7 +110,6 @@ class PacketRespEvent final : public PooledPacketEvent
         port_.sendTimingResp(pkt);
     }
 
-    void process() override { invoke(); }
     std::string name() const override { return port_.name() + ".resp"; }
 
   private:
@@ -136,16 +134,14 @@ class PacketReqEvent final : public PooledPacketEvent
             "mem::PacketReqEvent"));
     }
 
-    /** Devirtualized body (dispatch-table target). */
     G5P_HOT void
-    invoke()
+    process() override
     {
         PacketPtr pkt = take();
         pkt->setWritable(writable_);
         port_.sendTimingReq(pkt);
     }
 
-    void process() override { invoke(); }
     std::string name() const override { return port_.name() + ".req"; }
 
   private:
@@ -169,9 +165,8 @@ class PacketDeliverEvent final : public PooledPacketEvent
             "mem::PacketDeliverEvent"));
     }
 
-    void invoke() { port_.recvTimingResp(take()); }
+    void process() override { port_.recvTimingResp(take()); }
 
-    void process() override { invoke(); }
     std::string
     name() const override
     {
@@ -202,10 +197,7 @@ class PacketMemberEvent<F> final : public PooledPacketEvent
             kindLabel()));
     }
 
-    /** Devirtualized body (dispatch-table target). */
-    G5P_HOT void invoke() { (owner_.*F)(take()); }
-
-    void process() override { invoke(); }
+    G5P_HOT void process() override { (owner_.*F)(take()); }
 
   private:
     /** Unique per-instantiation kind name (embeds T and F). */

@@ -57,13 +57,12 @@ class Packet
     {
         // Packets are allocated at high rate on the timing path; the
         // allocator churn is real simulator data traffic. The charge
-        // is recorded here (not in the pool) so pool-on and pool-off
-        // runs model identical host-side behaviour.
+        // is recorded here (not in the pool) so the recorded stream
+        // never depends on pool state such as slab growth.
         trace::recordHeapAlloc(sizeof(Packet));
     }
 
-    /** @{ Dynamic packets recycle through the packet pool (which
-     *  falls back to the heap while disabled). */
+    /** @{ Dynamic packets recycle through the packet pool. */
     static void *
     operator new(std::size_t size)
     {

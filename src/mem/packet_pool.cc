@@ -3,7 +3,6 @@
 #include <new>
 
 #include "base/huge_alloc.hh"
-#include "base/logging.hh"
 #include "sim/simulator.hh"
 
 namespace g5p::mem
@@ -29,7 +28,6 @@ struct PoolState
     std::size_t outstanding = 0;
     std::size_t highWater = 0;
     std::size_t slabCount = 0;
-    bool enabled = true;
     base::ThpArena *arena = new base::ThpArena;
 
     void
@@ -72,7 +70,7 @@ PacketPool::allocate(std::size_t size)
     auto &pool = PoolState::instance();
     if (++pool.outstanding > pool.highWater)
         pool.highWater = pool.outstanding;
-    if (G5P_UNLIKELY(!pool.enabled || size > blockSize))
+    if (G5P_UNLIKELY(size > blockSize))
         return ::operator new(size);
     if (G5P_UNLIKELY(!pool.freeList))
         pool.grow();
@@ -86,29 +84,13 @@ PacketPool::deallocate(void *p, std::size_t size) noexcept
 {
     auto &pool = PoolState::instance();
     --pool.outstanding;
-    if (G5P_UNLIKELY(!pool.enabled || size > blockSize)) {
+    if (G5P_UNLIKELY(size > blockSize)) {
         ::operator delete(p);
         return;
     }
     auto *node = static_cast<PoolState::FreeNode *>(p);
     node->next = pool.freeList;
     pool.freeList = node;
-}
-
-void
-PacketPool::setEnabled(bool enabled)
-{
-    auto &pool = PoolState::instance();
-    g5p_assert(pool.outstanding == 0,
-               "PacketPool mode switch with %zu packets in flight",
-               pool.outstanding);
-    pool.enabled = enabled;
-}
-
-bool
-PacketPool::enabled()
-{
-    return PoolState::instance().enabled;
 }
 
 std::size_t
@@ -134,17 +116,6 @@ std::size_t
 PacketPool::slabsAllocated()
 {
     return PoolState::instance().slabCount;
-}
-
-std::size_t
-PacketPool::writeOffLeaked()
-{
-    auto &pool = PoolState::instance();
-    std::size_t leaked = pool.outstanding;
-    pool.outstanding = 0;
-    // highWater stays: it is a peak reading, and callers reset it
-    // per run anyway.
-    return leaked;
 }
 
 namespace

@@ -15,13 +15,6 @@
  * simulation per worker), slabs come from a huge-page-backed
  * ThpArena, and steady-state allocation touches no allocator at all.
  *
- * Unlike the event pool the packet pool can be switched off
- * (setEnabled(false)) so the same binary can run the faithful
- * pre-pool heap behaviour — the reference leg of bench/abl_timing
- * and the pool-vs-heap byte-identity tests. The toggle is only legal
- * while no packet is outstanding, which keeps every block's
- * allocation and release on the same side of the switch.
- *
  * Ownership rule (unchanged from the heap days): exactly one owner
  * holds a PacketPtr at any time — the pending delivery event, the
  * MSHR/deferred queue it is parked on, or the CPU that just received
@@ -49,26 +42,13 @@ class PacketPool
     /** Blocks carved per slab (8 KiB slabs). */
     static constexpr std::size_t slabBlocks = 128;
 
-    /** Pop a block (grows by one slab when the free list is empty);
-     *  falls through to the global heap while disabled. */
+    /** Pop a block (grows by one slab when the free list is empty). */
     G5P_HOT static void *allocate(std::size_t size);
 
-    /** Push a block back onto the free list (or the heap). */
+    /** Push a block back onto the free list. */
     G5P_HOT static void deallocate(void *p, std::size_t size) noexcept;
 
-    /**
-     * Route allocations through the pool (true, the default) or the
-     * global heap (false, the faithful pre-pool behaviour). Asserts
-     * outstanding() == 0: a block must be freed in the mode it was
-     * allocated in. Thread-local, like the pool itself.
-     */
-    static void setEnabled(bool enabled);
-
-    /** @see setEnabled */
-    static bool enabled();
-
-    /** Packets allocated and not yet freed (calling thread), pool
-     *  and heap mode alike. */
+    /** Packets allocated and not yet freed (calling thread). */
     static std::size_t outstanding();
 
     /**
@@ -84,19 +64,6 @@ class PacketPool
 
     /** Slabs this thread carved from its arena so far. */
     static std::size_t slabsAllocated();
-
-    /**
-     * Zero the outstanding count, returning what it was. Escape
-     * hatch for harnesses that deliberately run a pre-ownership-rule
-     * memory path (bench/abl_timing's embedded reference leg): that
-     * code parks packets in lambda events which do NOT delete them
-     * when the event queue clears at teardown, so the packets are
-     * genuinely — and unreachably — leaked. Writing them off keeps
-     * the drain assert armed for everything that runs afterwards.
-     * Never call this to paper over a leak in current code; the
-     * assert firing means an owner is missing.
-     */
-    static std::size_t writeOffLeaked();
 };
 
 } // namespace g5p::mem

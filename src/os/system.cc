@@ -69,22 +69,6 @@ System::makeCpu(unsigned i)
     g5p_panic("bad CPU model");
 }
 
-mem::Cache &
-System::asCache(const mem::CacheHandles &handles)
-{
-    auto *cache = dynamic_cast<mem::Cache *>(handles.object.get());
-    g5p_assert(cache, "concrete cache access on a custom memory path");
-    return *cache;
-}
-
-mem::CoherentXbar &
-System::xbar()
-{
-    auto *xbar = dynamic_cast<mem::CoherentXbar *>(xbar_.object.get());
-    g5p_assert(xbar, "concrete xbar access on a custom memory path");
-    return *xbar;
-}
-
 void
 System::wireCpu(cpu::BaseCpu &cpu, unsigned i)
 {
@@ -96,8 +80,8 @@ System::wireCpu(cpu::BaseCpu &cpu, unsigned i)
         if (++haltedCount_ == cpus_.size())
             sim_.exitSimLoop("workload complete");
     });
-    cpu.icachePort().bind(*l1is_[i].cpuSide);
-    cpu.dcachePort().bind(*l1ds_[i].cpuSide);
+    cpu.icachePort().bind(l1is_[i]->cpuSidePort());
+    cpu.dcachePort().bind(l1ds_[i]->cpuSidePort());
 }
 
 void
@@ -106,19 +90,17 @@ System::build(const GuestWorkload &workload)
     g5p_assert(config_.numCpus >= 1 && config_.numCpus <= 16,
                "unsupported CPU count %u", config_.numCpus);
 
-    mem::MemPathFactory &mem_path =
-        config_.memPath ? *config_.memPath
-                        : mem::MemPathFactory::standard();
-
     physmem_ = std::make_unique<mem::PhysicalMemory>(
         sim_, "physmem", config_.memBytes);
     dram_ = std::make_unique<mem::DramCtrl>(sim_, "dram", clock_,
                                             *physmem_, config_.dram);
-    l2_ = mem_path.makeCache(sim_, "l2", clock_, config_.l2);
-    xbar_ = mem_path.makeXbar(sim_, "xbar", clock_, config_.xbar);
+    l2_ = std::make_unique<mem::Cache>(sim_, "l2", clock_,
+                                       config_.l2);
+    xbar_ = std::make_unique<mem::CoherentXbar>(sim_, "xbar", clock_,
+                                                config_.xbar);
 
-    l2_.memSide->bind(dram_->port());
-    xbar_.memSide->bind(*l2_.cpuSide);
+    l2_->memSidePort().bind(dram_->port());
+    xbar_->memSidePort().bind(l2_->cpuSidePort());
 
     process_ = std::make_unique<Process>(sim_, "process", *physmem_,
                                          100);
@@ -137,9 +119,9 @@ System::build(const GuestWorkload &workload)
 
     for (unsigned i = 0; i < config_.numCpus; ++i) {
         auto idx = std::to_string(i);
-        l1is_.push_back(mem_path.makeCache(
+        l1is_.push_back(std::make_unique<mem::Cache>(
             sim_, "cpu" + idx + ".icache", clock_, config_.l1i));
-        l1ds_.push_back(mem_path.makeCache(
+        l1ds_.push_back(std::make_unique<mem::Cache>(
             sim_, "cpu" + idx + ".dcache", clock_, config_.l1d));
         itlbs_.push_back(std::make_unique<mem::Tlb>(
             sim_, "cpu" + idx + ".itlb", config_.itlb));
@@ -151,10 +133,10 @@ System::build(const GuestWorkload &workload)
 
         auto cpu = makeCpu(i);
         wireCpu(*cpu, i);
-        l1is_[i].memSide->bind(mem_path.addUpstreamPort(
-            *xbar_.object, l1is_[i].object.get()));
-        l1ds_[i].memSide->bind(mem_path.addUpstreamPort(
-            *xbar_.object, l1ds_[i].object.get()));
+        l1is_[i]->memSidePort().bind(
+            xbar_->addUpstreamPort(l1is_[i].get()));
+        l1ds_[i]->memSidePort().bind(
+            xbar_->addUpstreamPort(l1ds_[i].get()));
 
         cpus_.push_back(std::move(cpu));
     }

@@ -18,7 +18,6 @@
 #include "cpu/timing_cpu.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "mem/path_factory.hh"
 #include "mem/xbar.hh"
 #include "os/fs_kernel.hh"
 #include "os/process.hh"
@@ -76,14 +75,6 @@ struct SystemConfig
     cpu::MinorParams minor;
     cpu::O3Params o3;
     FsKernelParams fs;
-
-    /**
-     * Factory building the caches and coherent xbar (null = the
-     * standard optimized path). Lets bench/abl_timing drop its
-     * embedded pre-optimization reference path into an otherwise
-     * identical machine. Not owned; must outlive the System.
-     */
-    mem::MemPathFactory *memPath = nullptr;
 };
 
 /**
@@ -181,14 +172,10 @@ class System
     sim::Simulator &simulator() { return sim_; }
     cpu::BaseCpu &cpu(unsigned i) { return *cpus_.at(i); }
     unsigned numCpus() const { return (unsigned)cpus_.size(); }
-    /** @{ Concrete-type cache/xbar access. Valid on the standard
-     *  memory path only (asserted): a custom SystemConfig::memPath
-     *  builds its own types, reachable via the SimObject handles. */
-    mem::Cache &l1i(unsigned i) { return asCache(l1is_.at(i)); }
-    mem::Cache &l1d(unsigned i) { return asCache(l1ds_.at(i)); }
-    mem::Cache &l2() { return asCache(l2_); }
-    mem::CoherentXbar &xbar();
-    /** @} */
+    mem::Cache &l1i(unsigned i) { return *l1is_.at(i); }
+    mem::Cache &l1d(unsigned i) { return *l1ds_.at(i); }
+    mem::Cache &l2() { return *l2_; }
+    mem::CoherentXbar &xbar() { return *xbar_; }
     mem::Tlb &itlb(unsigned i) { return *itlbs_.at(i); }
     mem::Tlb &dtlb(unsigned i) { return *dtlbs_.at(i); }
     mem::PhysicalMemory &physmem() { return *physmem_; }
@@ -212,9 +199,6 @@ class System
     void build(const GuestWorkload &workload);
     std::unique_ptr<cpu::BaseCpu> makeCpu(unsigned i);
 
-    /** Downcast a factory handle to the standard Cache (asserted). */
-    static mem::Cache &asCache(const mem::CacheHandles &handles);
-
     /** Attach TLBs, syscall handler, halt callback and L1 ports to
      *  core @p i (shared between build() and switchCpu()). */
     void wireCpu(cpu::BaseCpu &cpu, unsigned i);
@@ -225,10 +209,10 @@ class System
 
     std::unique_ptr<mem::PhysicalMemory> physmem_;
     std::unique_ptr<mem::DramCtrl> dram_;
-    mem::CacheHandles l2_;
-    mem::XbarHandles xbar_;
-    std::vector<mem::CacheHandles> l1is_;
-    std::vector<mem::CacheHandles> l1ds_;
+    std::unique_ptr<mem::Cache> l2_;
+    std::unique_ptr<mem::CoherentXbar> xbar_;
+    std::vector<std::unique_ptr<mem::Cache>> l1is_;
+    std::vector<std::unique_ptr<mem::Cache>> l1ds_;
     std::vector<std::unique_ptr<mem::Tlb>> itlbs_;
     std::vector<std::unique_ptr<mem::Tlb>> dtlbs_;
     std::vector<std::unique_ptr<cpu::BaseCpu>> cpus_;

@@ -9,7 +9,7 @@ namespace g5p::sim
 namespace
 {
 
-/** The fallback slot's handler: the classic virtual path. */
+/** Kind 0's handler: the virtual call, for unregistered events. */
 void
 fallbackInvoke(Event &event)
 {

@@ -16,14 +16,12 @@
  * simulation actually uses, and the handler thunks are `G5P_HOT`, so
  * dispatch target and dispatched code stay in the hot text region.
  *
- * Fallback contract: kind 0 (`fallbackKind`) means "use the virtual
- * path". Out-of-tree Event subclasses that never call setKind()
- * service exactly as before through `process()`; they also disable
- * handler batching while pending (see EventQueue::batchingAllowed),
- * because the batching contract was audited only for in-tree
- * handlers. In-tree wrappers register via `registeredEventKind<D>()`
- * below and keep their `process()` override as the forced-virtual /
- * fallback body, which is what the determinism suite runs both ways.
+ * Kind 0 (`fallbackKind`) is pre-wired to a handler that makes the
+ * virtual `process()` call, so an Event subclass that never calls
+ * setKind() still runs and the queue dispatches every event the same
+ * way. In-tree classes register via `registeredEventKind<D>()` below,
+ * whose thunk calls `D::process()` directly: each event class has
+ * exactly one body.
  *
  * Registration is process-global (`EventDispatch::global()`),
  * idempotent per handler, and bounded: 255 distinct kinds plus the
@@ -53,7 +51,8 @@ class Event;
 /** Small dense id naming a registered event class; 0 is reserved. */
 using EventKind = std::uint8_t;
 
-/** Kind carried by events that dispatch through virtual process(). */
+/** Kind of events that never registered; its handler makes the
+ *  virtual process() call. */
 inline constexpr EventKind fallbackKind = 0;
 
 /** Non-virtual service handler: the devirtualized process(). */
@@ -146,11 +145,10 @@ void setModeledDispatchVirtual(bool v);
 
 /**
  * Register (once per process) the non-virtual dispatch thunk for
- * event class @p D and return its kind. D must expose `invoke()`,
- * the devirtualized body of its process(). The thunk downcasts and
- * calls it directly — after inlining, servicing a kind-tagged event
- * is one predictable indirect through the flat table instead of a
- * megamorphic vtable load.
+ * event class @p D and return its kind. The thunk downcasts and makes
+ * the qualified call `D::process()`, which binds statically — after
+ * inlining, servicing a kind-tagged event is one predictable indirect
+ * through the flat table instead of a megamorphic vtable load.
  *
  * The function-local static makes registration lazy, thread-safe,
  * and free after first use (one guard check, no lock).
@@ -161,7 +159,7 @@ registeredEventKind(const char *name)
 {
     static const EventKind kind = EventDispatch::global().registerKind(
         name, [](Event &event) {
-            static_cast<D &>(event).invoke();
+            static_cast<D &>(event).D::process();
         });
     return kind;
 }

@@ -228,8 +228,6 @@ EventQueue::schedule(Event &event, Tick when)
     ++numScheduled_;
     if (event.autoDelete_)
         ++transientScheduled_;
-    if (G5P_UNLIKELY(event.kind_ == fallbackKind))
-        ++fallbackScheduled_;
 }
 
 void
@@ -269,8 +267,6 @@ EventQueue::deschedule(Event &event)
     forgetMemo(&event);
     if (event.autoDelete_)
         --transientScheduled_;
-    if (G5P_UNLIKELY(event.kind_ == fallbackKind))
-        --fallbackScheduled_;
     if (event.heapIndex_ == Event::chainedIndex) {
         unlinkChained(&event);
         return;
@@ -342,8 +338,6 @@ EventQueue::popTop()
     Event *top = heap_.front().event;
     if (top->autoDelete_)
         --transientScheduled_;
-    if (G5P_UNLIKELY(top->kind_ == fallbackKind))
-        --fallbackScheduled_;
     top->heapIndex_ = Event::invalidIndex;
     forgetMemo(top);
     if (top->chainNext_) {
@@ -396,15 +390,10 @@ EventQueue::serviceTop()
     ++numServiced_;
 
     bool auto_delete = event->autoDelete();
-    // The devirtualized service call: registered kinds index the
-    // flat handler table (one predictable load + call); only
-    // fallback-kind events — out-of-tree subclasses — and queues in
-    // forced-virtual mode take the classic megamorphic virtual path.
-    const EventKind kind = event->kind_;
-    if (G5P_LIKELY(kind != fallbackKind && !forceVirtual_))
-        dispatch_->invoke(kind, *event);
-    else
-        event->process();
+    // The devirtualized service call: one predictable load + call
+    // through the flat handler table. Kind 0's handler is the
+    // virtual process() call, so unregistered events need no branch.
+    dispatch_->invoke(event->kind_, *event);
     if (profiler_)
         profiler_->endService();
     if (auto_delete && !event->scheduled())
@@ -602,7 +591,6 @@ EventQueue::clear()
     heap_.clear();
     chainedCount_ = 0;
     transientScheduled_ = 0;
-    fallbackScheduled_ = 0;
     lastScheduled_ = nullptr;
 }
 

@@ -13,18 +13,15 @@
  * place (no lazy dead entries, no per-pop hash lookups, no compaction
  * stalls). See DESIGN.md §"Event queue internals".
  *
- * Dispatch: servicing an event no longer means a megamorphic virtual
- * call. Events carry an EventKind byte; registered kinds dispatch
- * through EventDispatch's flat handler table, and only kind-0
- * (fallback) events take the classic virtual process() path. See
- * sim/event_dispatch.hh and DESIGN.md §"Event dispatch".
+ * Dispatch: servicing an event is not a megamorphic virtual call.
+ * Events carry an EventKind byte and every kind dispatches through
+ * EventDispatch's flat handler table; kind 0's handler calls the
+ * virtual process(), so an event that never registers still runs.
+ * See sim/event_dispatch.hh and DESIGN.md §"Event dispatch".
  *
- * Scheduling API: the one documented entry point is the
- * reference-taking family — schedule(Event &, Tick),
- * deschedule(Event &), reschedule(Event &, Tick) — plus
- * scheduleOneShot() for pooled fire-and-forget callbacks. The
- * historical pointer spellings remain as deprecated inline
- * forwarders.
+ * Scheduling API: the reference-taking family — schedule(Event &,
+ * Tick), deschedule(Event &), reschedule(Event &, Tick) — plus
+ * scheduleOneShot() for pooled fire-and-forget callbacks.
  */
 
 #ifndef G5P_SIM_EVENTQ_HH
@@ -57,10 +54,10 @@ class Profiler;
  * not own their memory unless flags say so; the common pattern (as in
  * gem5) is an event member inside the owning SimObject.
  *
- * In-tree event classes also register a non-virtual handler (see
- * registeredEventKind) and adopt its kind via setKind(); subclasses
- * that don't are serviced through virtual process() — the fallback
- * contract that keeps out-of-tree events working unchanged.
+ * In-tree event classes also register a dispatch kind (see
+ * registeredEventKind) and adopt it via setKind(); the kind's handler
+ * calls their process() directly. Subclasses that don't register keep
+ * kind 0, whose handler makes the virtual call.
  */
 class Event
 {
@@ -84,10 +81,7 @@ class Event
     Event(const Event &) = delete;
     Event &operator=(const Event &) = delete;
 
-    /** The event's action; runs with curTick == when(). Kind-tagged
-     *  events normally dispatch through their registered handler
-     *  instead; process() remains the fallback/forced-virtual body
-     *  and must stay equivalent to the handler. */
+    /** The event's action; runs with curTick == when(). */
     virtual void process() = 0;
 
     /** Diagnostic name. */
@@ -102,7 +96,7 @@ class Event
     /** True while on a queue. */
     bool scheduled() const { return heapIndex_ != invalidIndex; }
 
-    /** Dispatch-table kind (fallbackKind = virtual path). */
+    /** Dispatch-table kind (fallbackKind = virtual process()). */
     EventKind kind() const { return kind_; }
 
     /** If set, the queue deletes the event after process(). Must not
@@ -121,9 +115,7 @@ class Event
   protected:
     /**
      * Adopt a registered dispatch kind (constructors of in-tree
-     * event classes call this with their registeredEventKind). Must
-     * not change while scheduled: the queue counts pending
-     * fallback-kind events for the batching contract.
+     * event classes call this with their registeredEventKind).
      */
     void
     setKind(EventKind kind)
@@ -231,10 +223,7 @@ class EventFunctionWrapper : public Event
         EventPool::deallocate(p, size);
     }
 
-    /** Devirtualized body (dispatch-table target). */
-    void invoke() { callback_(); }
-
-    void process() override { invoke(); }
+    void process() override { callback_(); }
     std::string name() const override { return name_; }
 
   private:
@@ -280,10 +269,7 @@ class MemberEventWrapper<F> : public Event
             kindLabel()));
     }
 
-    /** Devirtualized body (dispatch-table target). */
-    void invoke() { (object_->*F)(); }
-
-    void process() override { invoke(); }
+    void process() override { (object_->*F)(); }
 
     std::string
     name() const override
@@ -345,12 +331,11 @@ class EventQueue
     /**
      * Schedule @p event at absolute tick @p when (>= curTick).
      *
-     * This is THE scheduling entry point: every other spelling —
-     * the deprecated pointer forwarders below, EventManager's
-     * helpers, scheduleOneShot() — funnels into this overload (and
-     * its deschedule/reschedule siblings), so service order,
-     * FIFO-tie behaviour and the transient/fallback accounting have
-     * exactly one implementation.
+     * This is THE scheduling entry point: EventManager's helpers and
+     * scheduleOneShot() funnel into this overload (and its
+     * deschedule/reschedule siblings), so service order, FIFO-tie
+     * behaviour and the transient accounting have exactly one
+     * implementation.
      */
     G5P_HOT void schedule(Event &event, Tick when);
 
@@ -380,20 +365,6 @@ class EventQueue
         ev->setAutoDelete(true);
         schedule(*ev, when);
     }
-
-    /** @{ Deprecated pointer spellings; thin forwarders. */
-    [[deprecated("use schedule(Event &, Tick)")]]
-    void schedule(Event *event, Tick when) { schedule(*event, when); }
-
-    [[deprecated("use deschedule(Event &)")]]
-    void deschedule(Event *event) { deschedule(*event); }
-
-    [[deprecated("use reschedule(Event &, Tick)")]]
-    void reschedule(Event *event, Tick when)
-    {
-        reschedule(*event, when);
-    }
-    /** @} */
 
     /** True if no events remain (chains hang off in-heap heads, so
      *  an empty heap means nothing is chained either). */
@@ -430,10 +401,9 @@ class EventQueue
 
     /**
      * Service exactly one event: advance curTick to its tick and run
-     * its handler (table dispatch for kind-tagged events, virtual
-     * process() for fallback kinds). Returns the serviced event, or
-     * nullptr if empty. The returned pointer is dangling if the
-     * event auto-deleted.
+     * its kind's handler from the dispatch table. Returns the
+     * serviced event, or nullptr if empty. The returned pointer is
+     * dangling if the event auto-deleted.
      */
     G5P_HOT Event *serviceOne();
 
@@ -457,34 +427,13 @@ class EventQueue
      * next pending event, (b) never passes serviceHorizon() — the
      * run loop's tick limit — and (c) only batches while
      * batchingAllowed() holds. The run loop clears the flag when a
-     * watchdog or profiler needs per-event granularity. The queue
-     * additionally refuses batching while any fallback-kind event is
-     * pending: out-of-tree events were never audited against the
-     * batching contract, so their mere presence drops the queue to
-     * per-event granularity (PR 6 contract, tightened).
+     * watchdog or profiler needs per-event granularity.
      */
-    bool
-    batchingAllowed() const
-    {
-        return batchingAllowed_ && fallbackScheduled_ == 0;
-    }
+    bool batchingAllowed() const { return batchingAllowed_; }
     void setBatchingAllowed(bool v) { batchingAllowed_ = v; }
     Tick serviceHorizon() const { return serviceHorizon_; }
     void setServiceHorizon(Tick t) { serviceHorizon_ = t; }
     /** @} */
-
-    /**
-     * @{ Force every serviced event through virtual process(), as if
-     * no kind were registered. The determinism suite runs the same
-     * seed both ways and requires byte-identical stats; the bench
-     * uses it to isolate the dispatch-table win on the real queue.
-     */
-    bool forceVirtualDispatch() const { return forceVirtual_; }
-    void setForceVirtualDispatch(bool v) { forceVirtual_ = v; }
-    /** @} */
-
-    /** Pending fallback-kind (virtual-dispatch) events. */
-    std::size_t numFallbackPending() const { return fallbackScheduled_; }
 
     /** Total events serviced over the queue's lifetime. */
     std::uint64_t numServiced() const { return numServiced_; }
@@ -610,16 +559,11 @@ class EventQueue
     std::uint64_t numScheduled_ = 0;
     /** Pending auto-delete events (see quiescent()). */
     std::size_t transientScheduled_ = 0;
-    /** Pending fallback-kind events (see batchingAllowed()). */
-    std::size_t fallbackScheduled_ = 0;
 
     /** @{ Batching contract state (see batchingAllowed()). */
     bool batchingAllowed_ = true;
     Tick serviceHorizon_ = maxTick;
     /** @} */
-
-    /** Forced-virtual dispatch (see setForceVirtualDispatch). */
-    bool forceVirtual_ = false;
 
     /** Cached global dispatch table (avoids the function-local
      *  static guard in the service loop). */
@@ -683,16 +627,6 @@ class EventManager
     void
     scheduleOneShot(Tick when, std::function<void()> fn,
                     std::string name)
-    {
-        eventq_.scheduleOneShot(when, std::move(fn),
-                                std::move(name));
-    }
-
-    /** Deprecated spelling of scheduleOneShot. */
-    [[deprecated("use scheduleOneShot(Tick, fn, name)")]]
-    void
-    scheduleCallback(Tick when, std::function<void()> fn,
-                     std::string name)
     {
         eventq_.scheduleOneShot(when, std::move(fn),
                                 std::move(name));

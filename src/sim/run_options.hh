@@ -7,8 +7,7 @@
  * auto-checkpoint enabler, a fault seed buried in
  * mem::FaultInjectorParams — and the profiler would have added more.
  * This struct replaces them: build one RunOptions, hand it to the
- * simulator (or System::run), done. (The transitional [[deprecated]]
- * setter shims were removed in PR 9.)
+ * simulator (or System::run), done.
  */
 
 #ifndef G5P_SIM_RUN_OPTIONS_HH
@@ -87,14 +86,6 @@ struct RunOptions
 
     /** Self-profiler knobs (see sim/profiler.hh). */
     ProfilerConfig profiler;
-
-    /**
-     * Service every event through virtual process() even when a
-     * dispatch-table kind is registered (see sim/event_dispatch.hh).
-     * The determinism suite and the frontend bench run the same seed
-     * with this flag flipped and require byte-identical stats.
-     */
-    bool forceVirtualDispatch = false;
 };
 
 } // namespace g5p::sim

@@ -50,16 +50,13 @@ class Simulator::ExitEvent : public Event
 
     ~ExitEvent() override { sim_.eventq_.unregisterSerial(tag_); }
 
-    /** Devirtualized body (dispatch-table target). */
     void
-    invoke()
+    process() override
     {
         sim_.exitRequested_ = true;
         sim_.exitCause_ = cause_;
         sim_.exitMessage_ = message_;
     }
-
-    void process() override { invoke(); }
 
     std::string name() const override { return "exit-event"; }
 
@@ -246,7 +243,6 @@ Simulator::configure(const RunOptions &options)
     applyAutoCheckpoint(options.autoCheckpointPeriod,
                         options.autoCheckpointPrefix);
     applyProfiler(options.profiler);
-    eventq_.setForceVirtualDispatch(options.forceVirtualDispatch);
 }
 
 void

@@ -363,11 +363,17 @@ litmusWorkload(const LitmusTest &test, std::uint64_t seed)
         });
 }
 
+// gtest lists each case with the raw bytes of its parameter, so the
+// struct carries explicit zeroed padding: uninitialised padding bytes
+// would give the case a different name from run to run.
 struct LitmusCase
 {
     std::size_t index; // into litmusTable()
     CpuModel model;
+    std::uint8_t pad[sizeof(std::size_t) - sizeof(CpuModel)] = {};
 };
+static_assert(sizeof(LitmusCase) == 2 * sizeof(std::size_t),
+              "LitmusCase must have no implicit padding");
 
 class Litmus : public ::testing::TestWithParam<LitmusCase>
 {};

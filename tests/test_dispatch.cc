@@ -1,44 +1,25 @@
 /**
  * @file
- * PR 9 dispatch-table suite: the devirtualized event dispatch must be
- * an *observationally invisible* optimization. Three layers:
- *
- *  - EventDispatch unit tests against a private table instance:
- *    dense kind assignment, per-handler idempotence, the same-name
- *    collision contract, and table overflow — without poisoning the
- *    process-global table the real queues dispatch through.
- *
- *  - The fallback batching contract (PR 6 × PR 9): a pending
- *    fallback-kind event (an out-of-tree Event subclass that never
- *    registered a handler) must make batchingAllowed() refuse, and
- *    the refusal must lift the moment the last such event leaves the
- *    queue.
- *
- *  - Determinism: same seed, table dispatch vs. forced-virtual
- *    dispatch, byte-identical stats text (plus architectural outcome)
- *    for all four CPU models and for a 4-core Timing coherence
- *    stress. This is the "preserving bit-identical service order"
- *    half of the PR's acceptance bar.
+ * Dispatch-table suite: EventDispatch unit tests against a private
+ * table instance — dense kind assignment, per-handler idempotence,
+ * the same-name collision contract, table overflow, and the kind-0
+ * slot's virtual call — without poisoning the process-global table
+ * the real queues dispatch through. Service order and stats of whole
+ * simulations are pinned by the golden fixtures (test_golden.cc).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <functional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "base/sim_error.hh"
-#include "mem/mem_tester.hh"
-#include "os/system.hh"
 #include "sim/event_dispatch.hh"
 #include "sim/eventq.hh"
-#include "sim/simulator.hh"
 
 using namespace g5p;
-using namespace g5p::os;
 
 namespace
 {
@@ -117,8 +98,9 @@ TEST(EventDispatchTable, OverflowThrowsInsteadOfDegrading)
 
 TEST(EventDispatchTable, FallbackSlotRoutesThroughVirtualProcess)
 {
-    // The reserved kind-0 slot is pre-wired to call process(), so a
-    // queue can dispatch *every* event through the table uniformly.
+    // The reserved kind-0 slot is pre-wired to call process(), so
+    // the queue dispatches *every* event through the table, including
+    // events that never registered a kind.
     class Probe : public sim::Event
     {
       public:
@@ -138,239 +120,12 @@ TEST(EventDispatchTable, FallbackSlotRoutesThroughVirtualProcess)
 
 TEST(EventDispatchTable, InTreeWrappersCarryRegisteredKinds)
 {
-    // The migrated wrappers must never be fallback-kind: that would
-    // silently re-virtualize the hot path *and* disable batching.
+    // The in-tree wrappers must never be fallback-kind: that would
+    // silently re-virtualize the hot path.
     sim::EventFunctionWrapper fn([] {}, "probe");
     EXPECT_NE(fn.kind(), sim::fallbackKind);
     EXPECT_NE(sim::EventDispatch::global().handler(fn.kind()),
               sim::EventDispatch::global().handler(sim::fallbackKind));
-}
-
-// ---------------------------------------------------------------
-// Fallback-kind events vs. the PR 6 batching contract.
-// ---------------------------------------------------------------
-
-/** Out-of-tree-style event: virtual process(), never calls setKind. */
-class ForeignEvent : public sim::Event
-{
-  public:
-    explicit ForeignEvent(int &fired) : fired_(fired) {}
-    void process() override { ++fired_; }
-
-  private:
-    int &fired_;
-};
-
-TEST(DispatchBatching, PendingFallbackEventRefusesBatching)
-{
-    sim::EventQueue q;
-    ASSERT_TRUE(q.batchingAllowed());
-    EXPECT_EQ(q.numFallbackPending(), 0u);
-
-    // Kind-tagged events leave batching alone.
-    int wrapped_fired = 0;
-    sim::EventFunctionWrapper wrapped([&] { ++wrapped_fired; },
-                                      "wrapped");
-    q.schedule(wrapped, 10);
-    EXPECT_TRUE(q.batchingAllowed());
-
-    // A pending fallback-kind event must refuse batching: the
-    // batching contract was audited only for in-tree handlers, and
-    // an unknown process() override may observe curTick mid-batch.
-    int foreign_fired = 0;
-    ForeignEvent foreign(foreign_fired);
-    q.schedule(foreign, 20);
-    EXPECT_FALSE(q.batchingAllowed());
-    EXPECT_EQ(q.numFallbackPending(), 1u);
-
-    // Descheduling it lifts the refusal immediately.
-    q.deschedule(foreign);
-    EXPECT_TRUE(q.batchingAllowed());
-    EXPECT_EQ(q.numFallbackPending(), 0u);
-
-    // ... and so does servicing it.
-    q.schedule(foreign, 20);
-    ForeignEvent foreign2(foreign_fired);
-    q.schedule(foreign2, 30);
-    EXPECT_EQ(q.numFallbackPending(), 2u);
-    q.serviceUntil(25);
-    EXPECT_EQ(foreign_fired, 1);
-    EXPECT_FALSE(q.batchingAllowed()) << "one fallback still pending";
-    q.serviceUntil(100);
-    EXPECT_EQ(foreign_fired, 2);
-    EXPECT_EQ(wrapped_fired, 1);
-    EXPECT_TRUE(q.batchingAllowed());
-
-    // setBatchingAllowed(false) still composes with the fallback
-    // count (the run loop's own refusal is independent).
-    q.setBatchingAllowed(false);
-    EXPECT_FALSE(q.batchingAllowed());
-    q.setBatchingAllowed(true);
-    EXPECT_TRUE(q.batchingAllowed());
-}
-
-TEST(DispatchBatching, ClearResetsFallbackCount)
-{
-    sim::EventQueue q;
-    int fired = 0;
-    ForeignEvent a(fired), b(fired);
-    q.schedule(a, 10);
-    q.schedule(b, 20);
-    EXPECT_EQ(q.numFallbackPending(), 2u);
-    q.clear();
-    EXPECT_EQ(q.numFallbackPending(), 0u);
-    EXPECT_TRUE(q.batchingAllowed());
-}
-
-// ---------------------------------------------------------------
-// Determinism: table dispatch vs. forced-virtual, byte-identical.
-// ---------------------------------------------------------------
-
-class DispatchWorkload : public GuestWorkload
-{
-  public:
-    std::string name() const override { return "dispatch-mix"; }
-
-    void
-    emit(isa::Assembler &as, unsigned num_cpus,
-         SimMode mode) const override
-    {
-        using namespace g5p::isa;
-        // Arithmetic + aliasing stores + data-dependent branches:
-        // enough event traffic (fetch, cache, writeback) that a
-        // service-order difference between dispatch modes would
-        // surface in the stats within a few thousand instructions.
-        as.label("_start");
-        as.li(RegS1, 0);
-        as.li(RegS0, 0);
-        as.li(RegT3, 600);
-        as.li(RegT2, 0x300000);
-        as.label("loop");
-        as.mul(RegT0, RegS0, RegS0);
-        as.xor_(RegT0, RegT0, RegS1);
-        as.andi(RegT1, RegS0, 63);
-        as.slli(RegT1, RegT1, 3);
-        as.add(RegT1, RegT1, RegT2);
-        as.sd(RegT0, RegT1, 0);
-        as.ld(RegT0, RegT1, 0);
-        as.andi(RegT4, RegS0, 1);
-        as.beq(RegT4, RegZero, "even");
-        as.add(RegS1, RegS1, RegT0);
-        as.j("next");
-        as.label("even");
-        as.sub(RegS1, RegS1, RegT0);
-        as.label("next");
-        as.addi(RegS0, RegS0, 1);
-        as.blt(RegS0, RegT3, "loop");
-        as.li(RegT0, (std::int64_t)GuestWorkload::resultAddr);
-        as.sd(RegS1, RegT0, 0);
-        as.halt();
-    }
-};
-
-/** Everything an observer could see: stats text + arch outcome. */
-struct RunFingerprint
-{
-    std::string stats;
-    std::uint64_t result = 0;
-    std::uint64_t insts = 0;
-    std::uint64_t memDigest = 0;
-    std::string console;
-
-    bool
-    operator==(const RunFingerprint &o) const
-    {
-        return stats == o.stats && result == o.result &&
-               insts == o.insts && memDigest == o.memDigest &&
-               console == o.console;
-    }
-};
-
-RunFingerprint
-runSystem(CpuModel model, bool force_virtual)
-{
-    DispatchWorkload wl;
-    sim::Simulator sim("system");
-    SystemConfig cfg;
-    cfg.cpuModel = model;
-    System system(sim, cfg, wl);
-
-    sim::RunOptions opts;
-    opts.forceVirtualDispatch = force_virtual;
-    auto res = system.run(opts, 5'000'000'000'000ULL);
-    EXPECT_EQ(res.cause, sim::ExitCause::Finished)
-        << cpuModelName(model)
-        << (force_virtual ? " (virtual)" : " (table)");
-
-    RunFingerprint fp;
-    std::ostringstream os;
-    sim.dumpStats(os);
-    fp.stats = os.str();
-    fp.result = system.result();
-    fp.insts = system.totalInsts();
-    fp.memDigest = system.physmem().contentDigest();
-    fp.console = system.process().emulator().consoleOutput();
-    return fp;
-}
-
-class DispatchDeterminism : public ::testing::TestWithParam<CpuModel>
-{};
-
-TEST_P(DispatchDeterminism, TableMatchesVirtualBitIdentically)
-{
-    RunFingerprint table = runSystem(GetParam(), false);
-    RunFingerprint virt = runSystem(GetParam(), true);
-    // Stats text first: it subsumes event counts, tick totals, cache
-    // traffic — any service-order skew shows up here as a diff.
-    EXPECT_EQ(table.stats, virt.stats) << cpuModelName(GetParam());
-    EXPECT_TRUE(table == virt) << cpuModelName(GetParam());
-    EXPECT_FALSE(table.stats.empty());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Models, DispatchDeterminism,
-    ::testing::Values(CpuModel::Atomic, CpuModel::Timing,
-                      CpuModel::Minor, CpuModel::O3),
-    [](const auto &info) {
-        return std::string(cpuModelName(info.param));
-    });
-
-// ---------------------------------------------------------------
-// 4-core Timing coherence stress, both dispatch modes.
-// ---------------------------------------------------------------
-
-std::string
-runCoherenceStress(bool force_virtual)
-{
-    sim::Simulator sim("tester");
-    mem::MemTesterParams p;
-    p.numCores = 4;
-    p.seed = 7;
-    p.opsPerCore = 400;
-    p.atomicMode = false;
-    mem::MemTester tester(sim, "mt", p);
-
-    sim::RunOptions opts;
-    opts.forceVirtualDispatch = force_virtual;
-    sim.configure(opts);
-    sim::SimResult res = sim.run();
-    EXPECT_EQ(res.cause, sim::ExitCause::Finished)
-        << sim::exitCauseName(res.cause) << "\n"
-        << sim.diagnosticDump();
-    EXPECT_TRUE(tester.allDone());
-    EXPECT_TRUE(tester.violations().empty());
-
-    std::ostringstream os;
-    sim.dumpStats(os);
-    return os.str();
-}
-
-TEST(DispatchDeterminismMulti, FourCoreTimingStressMatches)
-{
-    std::string table = runCoherenceStress(false);
-    std::string virt = runCoherenceStress(true);
-    EXPECT_FALSE(table.empty());
-    EXPECT_EQ(table, virt);
 }
 
 } // namespace

@@ -161,25 +161,6 @@ TEST(EventQueue, AutoDeleteEventRuns)
     // No leak: ASAN/valgrind-clean by construction.
 }
 
-TEST(EventQueue, DeprecatedPointerSpellingsStillForward)
-{
-    // PR 9 collapsed the two scheduling spellings; the pointer forms
-    // survive as deprecated thin forwarders for out-of-tree callers.
-    // This is the one place they are exercised on purpose.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EventQueue eq;
-    std::vector<int> log;
-    LogEvent a(log, 1), b(log, 2);
-    eq.schedule(&a, 10);
-    eq.schedule(&b, 20);
-    eq.reschedule(&b, 15);
-    eq.deschedule(&a);
-    eq.serviceUntil(100);
-    EXPECT_EQ(log, (std::vector<int>{2}));
-#pragma GCC diagnostic pop
-}
-
 TEST(EventQueue, CountsServicedAndScheduled)
 {
     EventQueue eq;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Golden-run regression harness: each CPU model runs a fixed workload
- * and the complete stats dump is reduced to an FNV-1a digest over the
- * sorted (name, value) pairs. The digest is compared against a
+ * (plus a few targeted runs: a long sampling guest, a threaded 2-core
+ * guest, a 4-core MESI stress) and the complete stats dump is reduced
+ * to an FNV-1a digest over the sorted (name, value) pairs. The digest is compared against a
  * checked-in fixture in tests/golden/; any drift — a changed counter,
  * a renamed stat, a perturbed timing model — fails the test with a
  * line-level diff against the fixture.
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "mem/mem_tester.hh"
 #include "os/system.hh"
 #include "workloads/workload.hh"
 
@@ -108,13 +110,6 @@ fnv1a(const std::vector<std::string> &lines)
     return hash;
 }
 
-std::string
-goldenPath(CpuModel model)
-{
-    return std::string(G5P_GOLDEN_DIR) + "/" + cpuModelName(model) +
-           ".txt";
-}
-
 void
 writeFixture(const std::string &path, std::uint64_t digest,
              const std::vector<std::string> &lines)
@@ -181,6 +176,35 @@ diffLines(const std::vector<std::string> &want,
     return os.str();
 }
 
+/**
+ * Compare @p lines against tests/golden/<fixture>.txt, or rewrite
+ * that fixture under --update-golden.
+ */
+void
+expectMatchesFixture(const std::vector<std::string> &lines,
+                     const std::string &fixture)
+{
+    std::uint64_t digest = fnv1a(lines);
+    std::string path =
+        std::string(G5P_GOLDEN_DIR) + "/" + fixture + ".txt";
+
+    if (updateGolden) {
+        writeFixture(path, digest, lines);
+        std::printf("updated %s\n", path.c_str());
+        return;
+    }
+
+    Fixture fx = readFixture(path);
+    ASSERT_TRUE(fx.present)
+        << "no golden fixture at " << path
+        << "; run test_golden --update-golden to create it";
+    EXPECT_EQ(fx.digest, digest)
+        << "stats drifted from golden run " << fixture
+        << "; if intentional, bless with --update-golden.\n"
+        << "Line diff (- fixture, + this run):\n"
+        << diffLines(fx.lines, lines);
+}
+
 class GoldenRun : public ::testing::TestWithParam<CpuModel>
 {};
 
@@ -196,25 +220,7 @@ TEST_P(GoldenRun, StatsDigestMatchesFixture)
     auto res = system.run(5'000'000'000'000ULL);
     ASSERT_EQ(res.cause, sim::ExitCause::Finished);
 
-    std::vector<std::string> lines = statLines(sim);
-    std::uint64_t digest = fnv1a(lines);
-    std::string path = goldenPath(model);
-
-    if (updateGolden) {
-        writeFixture(path, digest, lines);
-        std::printf("updated %s\n", path.c_str());
-        return;
-    }
-
-    Fixture fx = readFixture(path);
-    ASSERT_TRUE(fx.present)
-        << "no golden fixture at " << path
-        << "; run test_golden --update-golden to create it";
-    EXPECT_EQ(fx.digest, digest)
-        << "stats drifted from golden run for " << cpuModelName(model)
-        << "; if intentional, bless with --update-golden.\n"
-        << "Line diff (- fixture, + this run):\n"
-        << diffLines(fx.lines, lines);
+    expectMatchesFixture(statLines(sim), cpuModelName(model));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -238,26 +244,7 @@ TEST(GoldenWorkloads, WaterNsquaredLongDigestMatchesFixture)
     ASSERT_EQ(res.cause, sim::ExitCause::Finished);
     EXPECT_EQ(system.result(), wl->expectedResult(1));
 
-    std::vector<std::string> lines = statLines(sim);
-    std::uint64_t digest = fnv1a(lines);
-    std::string path =
-        std::string(G5P_GOLDEN_DIR) + "/water_nsquared_long.txt";
-
-    if (updateGolden) {
-        writeFixture(path, digest, lines);
-        std::printf("updated %s\n", path.c_str());
-        return;
-    }
-
-    Fixture fx = readFixture(path);
-    ASSERT_TRUE(fx.present)
-        << "no golden fixture at " << path
-        << "; run test_golden --update-golden to create it";
-    EXPECT_EQ(fx.digest, digest)
-        << "stats drifted from golden run for water_nsquared_long"
-        << "; if intentional, bless with --update-golden.\n"
-        << "Line diff (- fixture, + this run):\n"
-        << diffLines(fx.lines, lines);
+    expectMatchesFixture(statLines(sim), "water_nsquared_long");
 }
 
 TEST(GoldenWorkloads, RadixThreadsTwoCoreDigestMatchesFixture)
@@ -278,26 +265,38 @@ TEST(GoldenWorkloads, RadixThreadsTwoCoreDigestMatchesFixture)
     ASSERT_EQ(res.cause, sim::ExitCause::Finished);
     EXPECT_EQ(system.result(), wl->expectedResult(2));
 
+    expectMatchesFixture(statLines(sim), "radix_threads_2core");
+}
+
+TEST(GoldenWorkloads, MesiStressFourCoreDigestMatchesFixture)
+{
+    // Heavy 4-core Timing MESI traffic: the coherence stress tester
+    // fights over false-shared lines, so upgrades, snoop
+    // invalidations and fill races all occur. The threaded guests
+    // above make only a handful of invalidations, so without this run
+    // the fixtures would not pin the coherence path under load.
+    sim::Simulator sim("tester");
+    mem::MemTesterParams p;
+    p.numCores = 4;
+    p.seed = 7;
+    p.opsPerCore = 400;
+    p.atomicMode = false;
+    mem::MemTester tester(sim, "mt", p);
+    auto res = sim.run();
+    ASSERT_EQ(res.cause, sim::ExitCause::Finished);
+    ASSERT_TRUE(tester.allDone());
+    EXPECT_TRUE(tester.violations().empty());
+
     std::vector<std::string> lines = statLines(sim);
-    std::uint64_t digest = fnv1a(lines);
-    std::string path =
-        std::string(G5P_GOLDEN_DIR) + "/radix_threads_2core.txt";
+    const std::string inval = "tester.mt.xbar.snoopInvalidations ";
+    auto it = std::find_if(lines.begin(), lines.end(),
+                           [&](const std::string &line) {
+                               return line.rfind(inval, 0) == 0;
+                           });
+    ASSERT_NE(it, lines.end()) << "no " << inval << "stat";
+    EXPECT_GT(std::stod(it->substr(inval.size())), 0.0);
 
-    if (updateGolden) {
-        writeFixture(path, digest, lines);
-        std::printf("updated %s\n", path.c_str());
-        return;
-    }
-
-    Fixture fx = readFixture(path);
-    ASSERT_TRUE(fx.present)
-        << "no golden fixture at " << path
-        << "; run test_golden --update-golden to create it";
-    EXPECT_EQ(fx.digest, digest)
-        << "stats drifted from golden run for radix_threads (2-core)"
-        << "; if intentional, bless with --update-golden.\n"
-        << "Line diff (- fixture, + this run):\n"
-        << diffLines(fx.lines, lines);
+    expectMatchesFixture(lines, "mesi_stress_4core");
 }
 
 } // namespace

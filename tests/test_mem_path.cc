@@ -6,10 +6,7 @@
  *    against std::unordered_map, with clustered keys to force long
  *    probe chains and the backward-shift deletion path;
  *  - PacketPool unit behavior: block reuse, outstanding/high-water
- *    accounting, heap-mode (disabled) equivalence;
- *  - pool-vs-heap byte identity over the PR 7 coherence stress
- *    matrix (4 seeds x {2,4} cores x {Atomic,Timing}): disabling the
- *    pool must change nothing but the allocator;
+ *    accounting;
  *  - checkpoint/restore mid-flight while pooled packets are live:
  *    the drain must return every packet to the pool before
  *    serialization, and the restored run must replay exactly;
@@ -28,7 +25,6 @@
 #include <vector>
 
 #include "mem/addr_table.hh"
-#include "mem/mem_tester.hh"
 #include "mem/packet.hh"
 #include "mem/packet_pool.hh"
 #include "os/system.hh"
@@ -146,7 +142,6 @@ TEST(AddrTable, GrowthPreservesContents)
 
 TEST(PacketPool, ReusesBlocksAndTracksHighWater)
 {
-    ASSERT_TRUE(mem::PacketPool::enabled());
     std::size_t base = mem::PacketPool::outstanding();
     mem::PacketPool::resetHighWater();
 
@@ -169,85 +164,6 @@ TEST(PacketPool, ReusesBlocksAndTracksHighWater)
     mem::PacketPool::resetHighWater();
     EXPECT_EQ(mem::PacketPool::highWater(), base);
 }
-
-TEST(PacketPool, DisabledModeIsPlainHeap)
-{
-    ASSERT_EQ(mem::PacketPool::outstanding(), 0u)
-        << "previous test leaked packets";
-    mem::PacketPool::setEnabled(false);
-    auto *p = new mem::Packet(mem::MemCmd::ReadReq, 0x100, 8);
-    // Outstanding accounting works identically in heap mode: the
-    // Simulator's drain assert stays armed for the reference legs.
-    EXPECT_EQ(mem::PacketPool::outstanding(), 1u);
-    delete p;
-    EXPECT_EQ(mem::PacketPool::outstanding(), 0u);
-    mem::PacketPool::setEnabled(true);
-    EXPECT_TRUE(mem::PacketPool::enabled());
-}
-
-// ---------------------------------------------------------------
-// Pool-vs-heap byte identity over the PR 7 stress matrix
-// ---------------------------------------------------------------
-
-std::string
-stressDump(std::uint64_t seed, unsigned cores, bool atomic)
-{
-    sim::Simulator sim("tester");
-    mem::MemTesterParams p;
-    p.numCores = cores;
-    p.seed = seed;
-    p.atomicMode = atomic;
-    p.opsPerCore = 800;
-    mem::MemTester tester(sim, "mt", p);
-    sim::SimResult res = sim.run();
-    EXPECT_EQ(res.cause, sim::ExitCause::Finished);
-    EXPECT_TRUE(tester.violations().empty());
-    std::ostringstream os;
-    sim.dumpStats(os);
-    return os.str();
-}
-
-struct PoolIdentityCase
-{
-    std::uint64_t seed;
-    unsigned cores;
-    bool atomic;
-};
-
-class PoolVsHeap : public ::testing::TestWithParam<PoolIdentityCase>
-{};
-
-TEST_P(PoolVsHeap, ByteIdenticalStats)
-{
-    auto c = GetParam();
-    ASSERT_EQ(mem::PacketPool::outstanding(), 0u);
-    std::string pooled = stressDump(c.seed, c.cores, c.atomic);
-    mem::PacketPool::setEnabled(false);
-    std::string heap = stressDump(c.seed, c.cores, c.atomic);
-    mem::PacketPool::setEnabled(true);
-    EXPECT_EQ(pooled, heap)
-        << "allocator choice leaked into simulated behavior";
-}
-
-std::vector<PoolIdentityCase>
-poolCases()
-{
-    std::vector<PoolIdentityCase> cases;
-    for (std::uint64_t seed : {1, 2, 3, 4})
-        for (unsigned cores : {2u, 4u})
-            for (bool atomic : {false, true})
-                cases.push_back({seed, cores, atomic});
-    return cases;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, PoolVsHeap, ::testing::ValuesIn(poolCases()),
-    [](const auto &info) {
-        std::ostringstream os;
-        os << "seed" << info.param.seed << "_" << info.param.cores
-           << "core_" << (info.param.atomic ? "Atomic" : "Timing");
-        return os.str();
-    });
 
 // ---------------------------------------------------------------
 // Checkpoint/restore mid-flight with pooled packets live
@@ -289,7 +205,6 @@ timingCfg(unsigned cores)
 
 TEST(PooledCheckpoint, MidFlightRestoreReplaysExactly)
 {
-    ASSERT_TRUE(mem::PacketPool::enabled());
     auto &reg = workloads::Registry::instance();
     std::string path = ::testing::TempDir() + "/g5p_pooled.ckpt";
 

@@ -1,9 +1,8 @@
 /**
  * @file
  * Self-observability layer: the profiler's event attribution, the
- * Chrome-trace and JSONL exports, the RunOptions run-control surface
- * (including the deprecated-shim equivalence), and the interplay of
- * profiling with checkpoint/restore.
+ * Chrome-trace and JSONL exports, the RunOptions run-control surface,
+ * and the interplay of profiling with checkpoint/restore.
  */
 
 #include <gtest/gtest.h>

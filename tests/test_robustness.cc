@@ -666,7 +666,7 @@ TEST(TypedErrors, QuiescenceBudgetExhaustionThrows)
     std::function<void()> chain = [&] {
         auto *ev = new sim::EventFunctionWrapper(chain, "chain");
         ev->setAutoDelete(true);
-        q.schedule(ev, q.curTick() + 1);
+        q.schedule(*ev, q.curTick() + 1);
     };
     chain();
 

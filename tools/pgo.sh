@@ -4,15 +4,16 @@
 #   tools/pgo.sh [training-command...]
 #
 # 1. Configures + builds the pgo-gen preset (instrumented).
-# 2. Runs the training workload — by default the event-service
-#    microbench plus one profiled simulation example, i.e. exactly
-#    the code the optimization targets. Pass a custom command to
-#    train on something else.
+# 2. Runs the training workload — by default one workload on all four
+#    CPU models plus one profiled simulation, i.e. the event loop, the
+#    CPU models, the memory path and the profiling pipeline. Pass a
+#    custom command to train on something else.
 # 3. Reconfigures the same tree as pgo-use and rebuilds, consuming
 #    the .gcda profiles left in place by step 2.
 #
 # The result lives in build-pgo/. Compare against a plain release
-# build with: build-pgo/bench/abl_frontend --json /tmp/pgo.json
+# build by running the same command from build-pgo/ and build/, e.g.
+# examples/quickstart sieve 1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,13 +25,11 @@ echo "== PGO phase 2: training run"
 if [ "$#" -gt 0 ]; then
     "$@"
 else
-    # Default training: the frontend microbench exercises the
-    # service loop; the example exercises a full profiled run.
-    ./build-pgo/bench/abl_frontend --json /tmp/g5p_pgo_train.json \
-        --no-gates
-    if [ -x ./build-pgo/examples/profile_simulation ]; then
-        ./build-pgo/examples/profile_simulation >/dev/null
-    fi
+    # Default training: quickstart runs every CPU model through the
+    # event loop and memory path; profile_simulation adds the trace
+    # recorder, synthesizer and host model.
+    ./build-pgo/examples/quickstart sieve 0.25 >/dev/null
+    ./build-pgo/examples/profile_simulation sieve timing 0.25 >/dev/null
 fi
 
 echo "== PGO phase 3: optimized rebuild (pgo-use)"

@@ -24,10 +24,10 @@ cmake --preset sanitize
 echo "== build (-j ${jobs}) =="
 cmake --build --preset sanitize -j "$jobs"
 
-# The sanitize test preset sets ASAN_OPTIONS=detect_leaks=0 (events
-# in flight at simulator teardown are reclaimed by the pool, not
-# freed individually) and UBSAN halt_on_error so any UB fails the
-# run loudly.
+# LeakSanitizer runs with ASan's defaults: every in-flight packet,
+# event and sender-state record has an owner that frees it at
+# simulator teardown, so any leak report is a real bug. The sanitize
+# test preset sets UBSAN halt_on_error so any UB fails the run loudly.
 echo "== ctest (preset: sanitize) =="
 ctest --preset sanitize "$@"
 
@@ -80,28 +80,24 @@ fi
 # with intrusive free-listing, and the snoop filter/MSHR index do
 # open addressing with backward-shift deletion — manual memory
 # management stacked three deep, i.e. exactly what ASan/UBSan are
-# for. The pool-vs-heap identity matrix runs every packet lifetime
-# twice (pooled and malloc'd), and the quick bench gate runs both
-# the optimized and the embedded pre-PR reference paths under
-# sanitizers (speed gates demote to report-only; the byte-identity
-# checks still must pass).
+# for. The mid-flight checkpoint and teardown-drain tests end
+# machines with packets still parked on events and MSHRs, so LSan
+# sees every teardown path.
 if [ "$#" -gt 0 ]; then
     echo "== ctest timing memory-path suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(AddrTable|PacketPool|PoolVsHeap|PooledCheckpoint|PoolDrain|TimingMemPathQuick)'
+    ctest --preset sanitize -R '^(AddrTable|PacketPool|PooledCheckpoint|PoolDrain|GoldenWorkloads)'
 fi
 
 # Dispatch pass: the PR 9 kind table is read through relaxed atomics
 # on the hottest path in the tree, the event kind byte lives in tail
 # padding, and the THP arenas hand out mmap-backed slabs that the
 # event pool and decode cache carve up manually — all prime ASan/
-# UBSan territory. The determinism suite also forces the virtual
-# path, so both dispatch branches run sanitized. (The wall-clock
-# FrontendDispatchGate demotes its speed gates to report-only under
-# sanitizers — instrumentation erases the layout effect — but still
-# checks service-order digests and writes its JSON.)
+# UBSan territory. The table suite includes the kind-0 slot's
+# virtual call, and FrontendDispatchGate runs two profiled
+# simulations through the modeled Top-Down legs.
 if [ "$#" -gt 0 ]; then
     echo "== ctest dispatch suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(EventDispatchTable|DispatchBatching|DispatchDeterminismMulti|FrontendDispatchGate)|Dispatch'
+    ctest --preset sanitize -R '^(EventDispatchTable|FrontendDispatchGate)|Dispatch'
 fi
 
 # Sweep-service pass: the chaos suite walks the crash/retry/eviction
@@ -146,5 +142,5 @@ if [ "${G5P_SKIP_TSAN:-0}" != "1" ]; then
     # The timing-path suites join because the packet pool and THP
     # arenas are thread-local by design — TSan proves no state leaks
     # across the pool threads that run whole simulations.
-    ctest --preset tsan -R '^(Parallel|Checkpoint|Sampling|Coherence|Service)|Dispatch|Pool|MemPath'
+    ctest --preset tsan -R '^(Parallel|Checkpoint|Sampling|Coherence|Service)|Dispatch|Pool'
 fi
