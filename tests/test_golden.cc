@@ -6,7 +6,9 @@
  * to an FNV-1a digest over the sorted (name, value) pairs. The digest is compared against a
  * checked-in fixture in tests/golden/; any drift — a changed counter,
  * a renamed stat, a perturbed timing model — fails the test with a
- * line-level diff against the fixture.
+ * line-level diff against the fixture. One more fixture pins the
+ * other half of the pipeline: the host model's counters and Top-Down
+ * breakdown for a profiled run on every CPU model.
  *
  * Intentional changes are blessed by re-running with --update-golden,
  * which rewrites the fixtures in the source tree.
@@ -15,12 +17,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "mem/mem_tester.hh"
 #include "os/system.hh"
 #include "workloads/workload.hh"
@@ -297,6 +302,106 @@ TEST(GoldenWorkloads, MesiStressFourCoreDigestMatchesFixture)
     EXPECT_GT(std::stod(it->substr(inval.size())), 0.0);
 
     expectMatchesFixture(lines, "mesi_stress_4core");
+}
+
+/**
+ * "name value" lines for every host-side result of a profiled run:
+ * each HostCounters field, each Top-Down fraction, the host
+ * instruction count and the function count. Doubles are written as
+ * their bit patterns in hex, so a one-ulp drift changes the digest.
+ */
+std::vector<std::string>
+hostLines(const core::RunResult &r)
+{
+    std::vector<std::string> lines;
+    std::string prefix = std::string(cpuModelName(r.cpuModel)) + ".";
+    auto count = [&](const char *name, std::uint64_t v) {
+        lines.push_back(prefix + name + " " + std::to_string(v));
+    };
+    auto bits = [&](const char *name, double v) {
+        char hex[24];
+        std::snprintf(hex, sizeof hex, "0x%016llx",
+                      (unsigned long long)std::bit_cast<std::uint64_t>(v));
+        lines.push_back(prefix + name + " " + hex);
+    };
+
+    const host::HostCounters &c = r.counters;
+    count("counters.insts", c.insts);
+    count("counters.uops", c.uops);
+    count("counters.loads", c.loads);
+    count("counters.stores", c.stores);
+    count("counters.branches", c.branches);
+    bits("counters.baseCycles", c.baseCycles);
+    bits("counters.feLatIcacheCycles", c.feLatIcacheCycles);
+    bits("counters.feLatItlbCycles", c.feLatItlbCycles);
+    bits("counters.feLatMispredictCycles", c.feLatMispredictCycles);
+    bits("counters.feLatUnknownCycles", c.feLatUnknownCycles);
+    bits("counters.feLatClearCycles", c.feLatClearCycles);
+    bits("counters.feBwMiteCycles", c.feBwMiteCycles);
+    bits("counters.feBwDsbCycles", c.feBwDsbCycles);
+    bits("counters.badSpecCycles", c.badSpecCycles);
+    bits("counters.beMemCycles", c.beMemCycles);
+    bits("counters.beCoreCycles", c.beCoreCycles);
+    count("counters.icacheAccesses", c.icacheAccesses);
+    count("counters.icacheMisses", c.icacheMisses);
+    count("counters.dcacheAccesses", c.dcacheAccesses);
+    count("counters.dcacheMisses", c.dcacheMisses);
+    count("counters.itlbAccesses", c.itlbAccesses);
+    count("counters.itlbMisses", c.itlbMisses);
+    count("counters.dtlbAccesses", c.dtlbAccesses);
+    count("counters.dtlbMisses", c.dtlbMisses);
+    count("counters.l2Misses", c.l2Misses);
+    count("counters.llcMisses", c.llcMisses);
+    count("counters.mispredicts", c.mispredicts);
+    count("counters.unknownBranches", c.unknownBranches);
+    count("counters.uopsFromDsb", c.uopsFromDsb);
+    count("counters.uopsFromMite", c.uopsFromMite);
+    count("counters.dramBytes", c.dramBytes);
+    count("counters.llcOccupancyBytes", c.llcOccupancyBytes);
+
+    const host::TopdownBreakdown &t = r.topdown;
+    bits("topdown.retiring", t.retiring);
+    bits("topdown.badSpeculation", t.badSpeculation);
+    bits("topdown.frontendLatency", t.frontendLatency);
+    bits("topdown.frontendBandwidth", t.frontendBandwidth);
+    bits("topdown.backendBound", t.backendBound);
+    bits("topdown.feIcache", t.feIcache);
+    bits("topdown.feItlb", t.feItlb);
+    bits("topdown.feMispredictResteers", t.feMispredictResteers);
+    bits("topdown.feUnknownBranches", t.feUnknownBranches);
+    bits("topdown.feClearResteers", t.feClearResteers);
+    bits("topdown.feMite", t.feMite);
+    bits("topdown.feDsb", t.feDsb);
+    bits("topdown.beMemory", t.beMemory);
+    bits("topdown.beCore", t.beCore);
+
+    count("hostInsts", r.hostInsts);
+    count("distinctFunctions", r.distinctFunctions);
+    return lines;
+}
+
+TEST(GoldenHost, ProfiledWaterNsquaredCountersMatchFixture)
+{
+    // The host half of the pipeline (synthesizer -> host model) on
+    // every CPU model: a change to the op stream or to any host
+    // structure's arithmetic moves at least one of these lines.
+    std::vector<std::string> lines;
+    for (CpuModel model : allCpuModels) {
+        core::RunConfig cfg;
+        cfg.workload = "water_nsquared";
+        cfg.workloadScale = 0.25;
+        cfg.cpuModel = model;
+        cfg.platform = host::xeonConfig();
+        core::RunResult r = core::runProfiledSimulation(cfg);
+        ASSERT_EQ(r.exitCause, sim::ExitCause::Finished);
+        ASSERT_TRUE(r.resultOk) << cpuModelName(model);
+        std::vector<std::string> model_lines = hostLines(r);
+        lines.insert(lines.end(), model_lines.begin(),
+                     model_lines.end());
+    }
+    std::sort(lines.begin(), lines.end());
+
+    expectMatchesFixture(lines, "host_water_nsquared");
 }
 
 } // namespace
