@@ -1,32 +1,22 @@
 /**
  * @file
- * Ablation: the parallel experiment harness and batched trace->host
- * delivery.
+ * Ablation: worker-pool scaling of the parallel experiment harness.
  *
- * Part 1 — worker-pool scaling: one fixed sweep of profiled runs,
- * executed serially and on 2- and 4-thread pools. Reports wall-clock
- * speedup and verifies every pooled result is byte-identical to its
- * serial reference (doubles compared as bit patterns) — the paper
- * co-runs one gem5 process per hardware thread (§II, 4.15x aggregate
- * throughput at 40 processes), and this harness reproduces that
- * methodology in-process.
+ * One fixed sweep of profiled runs, executed serially and on 2- and
+ * 4-thread pools. Reports wall-clock speedup and verifies every
+ * pooled result is byte-identical to its serial reference (doubles
+ * compared as bit patterns) — the paper co-runs one gem5 process per
+ * hardware thread (§II, 4.15x aggregate throughput at 40 processes),
+ * and this harness reproduces that methodology in-process. Every
+ * profiled run already overlaps its synthesizer and host model on
+ * two threads (trace::PipelinedSink), so the serial reference uses
+ * two threads and an N-job pool up to 2N.
  *
- * Part 2 — batched sink delivery: record one run's synthesized op
- * stream, then hand the same stream to fresh HostCores through the
- * two delivery contracts — one virtual op() call per instruction
- * (the pre-batching path, what HostInstSink shims still do) versus
- * one ops() call per 4096-instruction span. This measures the sink
- * boundary itself; both deliveries must produce bit-identical
- * counters. End-to-end wall clock for full runs under each contract
- * is also reported (there the guest simulator and synthesizer,
- * identical in both, dilute the delivery difference).
- *
- * Writes BENCH_parallel.json. Gates: batched delivery >= 1.15x the
- * per-op sink throughput, and (only when the host has >= 4 hardware
- * threads — scaling cannot exist on fewer) >= 3x at 4 threads.
+ * Writes BENCH_parallel.json. Gates: pooled results byte-identical,
+ * and (only when the host has >= 4 hardware threads — scaling cannot
+ * exist on fewer) >= 3x at 4 threads.
  */
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -36,12 +26,6 @@
 #include <vector>
 
 #include "core/parallel.hh"
-#include "host/host_core.hh"
-#include "os/system.hh"
-#include "sim/simulator.hh"
-#include "trace/code_layout.hh"
-#include "trace/recorder.hh"
-#include "trace/synthesizer.hh"
 
 using namespace g5p;
 using namespace g5p::core;
@@ -84,105 +68,6 @@ signatureOf(const RunResult &r)
     return os.str();
 }
 
-/** Captures a run's op stream (bounded) for replay. */
-struct RecordingSink : trace::HostInstSink
-{
-    explicit RecordingSink(std::size_t cap) { stream.reserve(cap); }
-
-    void
-    op(const trace::HostOp &op) override
-    {
-        if (stream.size() < stream.capacity())
-            stream.push_back(op);
-    }
-
-    std::vector<trace::HostOp> stream;
-};
-
-/** Counter signature of a replayed stream, doubles as bit patterns. */
-std::string
-coreSignature(const host::HostCore &core)
-{
-    host::HostCounters c = core.counters();
-    host::TopdownBreakdown td = core.topdown();
-    std::ostringstream os;
-    auto bits = [&os](double v) {
-        os << std::bit_cast<std::uint64_t>(v) << ',';
-    };
-    os << c.insts << ',' << c.uops << ',' << c.loads << ','
-       << c.stores << ',' << c.branches << ',' << c.icacheMisses
-       << ',' << c.dcacheMisses << ',' << c.itlbMisses << ','
-       << c.dtlbMisses << ',' << c.mispredicts << ','
-       << c.unknownBranches << ',' << c.l2Misses << ','
-       << c.llcMisses << ',' << c.dramBytes << '|';
-    bits(c.baseCycles);
-    bits(c.beMemCycles);
-    bits(c.beCoreCycles);
-    bits(c.badSpecCycles);
-    bits(td.retiring);
-    bits(td.frontendLatency);
-    bits(td.frontendBandwidth);
-    bits(td.backendBound);
-    return os.str();
-}
-
-/**
- * Deliver the stream one op at a time through the virtual sink
- * interface — the pre-batching contract. noinline so the compiler
- * cannot devirtualize against the concrete core the caller built,
- * which would not be possible at the real call site either (the
- * synthesizer only ever sees a HostInstSink&).
- */
-__attribute__((noinline)) void
-replayPerOp(trace::HostInstSink &sink,
-            const std::vector<trace::HostOp> &stream)
-{
-    for (const trace::HostOp &op : stream)
-        sink.op(op);
-}
-
-/** Deliver the stream in 4096-op spans through ops(). */
-__attribute__((noinline)) void
-replayBatched(trace::HostInstSink &sink,
-              const std::vector<trace::HostOp> &stream)
-{
-    constexpr std::size_t span = trace::Synthesizer::defaultBatchOps;
-    for (std::size_t i = 0; i < stream.size(); i += span)
-        sink.ops(stream.data() + i,
-                 std::min(span, stream.size() - i));
-}
-
-/**
- * Synthesize one run's op stream into a recording sink: the same
- * guest simulation runProfiledSimulation drives, minus the host
- * model, so the replays below exercise delivery alone.
- */
-std::vector<trace::HostOp>
-recordStream(const RunConfig &config, std::size_t cap)
-{
-    sim::Simulator simulator("system");
-    auto workload = workloads::Registry::instance().create(
-        config.workload, config.workloadScale);
-    os::SystemConfig sys_cfg;
-    sys_cfg.cpuModel = config.cpuModel;
-    sys_cfg.maxInstsPerCpu = config.maxGuestInsts;
-    os::System system(simulator, sys_cfg, *workload);
-
-    trace::LayoutOptions layout_opts;
-    layout_opts.seed ^= config.seed * 0x9e3779b97f4a7c15ULL;
-    trace::CodeLayout layout(trace::FuncRegistry::instance(),
-                             layout_opts);
-    RecordingSink sink(cap);
-    trace::Synthesizer synth(layout, sink, config.seed);
-    trace::Recorder recorder;
-    recorder.addConsumer(&synth);
-    recorder.activate();
-    system.run();
-    recorder.deactivate();
-    synth.flush();
-    return std::move(sink.stream);
-}
-
 /** The scaling sweep: all four models x two workloads. */
 std::vector<RunConfig>
 sweepConfigs(double scale)
@@ -222,13 +107,9 @@ main(int argc, char **argv)
     }
 
     const unsigned hw = ParallelExecutor::hardwareJobs();
-    std::printf("# abl_parallel: worker-pool sweeps and batched "
-                "trace->host delivery (%u hw thread%s)\n",
+    std::printf("# abl_parallel: worker-pool sweeps (%u hw thread%s)\n",
                 hw, hw == 1 ? "" : "s");
 
-    // ----------------------------------------------------------
-    // Part 1: pool scaling, byte-identical to serial.
-    // ----------------------------------------------------------
     std::vector<RunConfig> configs = sweepConfigs(scale);
 
     auto t0 = std::chrono::steady_clock::now();
@@ -268,77 +149,6 @@ main(int argc, char **argv)
     }
 
     // ----------------------------------------------------------
-    // Part 2: batched vs per-op sink delivery. Record one run's op
-    // stream, then replay the identical stream into fresh HostCores
-    // through each delivery contract, best-of-5.
-    // ----------------------------------------------------------
-    RunConfig single;
-    single.workload = "water_nsquared";
-    single.workloadScale = scale;
-    single.cpuModel = os::CpuModel::O3;
-    single.platform = host::xeonConfig();
-
-    constexpr std::size_t streamCap = 2'000'000;
-    std::vector<trace::HostOp> stream = recordStream(single,
-                                                     streamCap);
-
-    // Interleave the two contracts round by round so transient host
-    // load hits both paths alike; best-of-7 each.
-    auto timed_replay = [&](bool batched, std::string &sig) {
-        host::PageSizePolicy policy(single.platform.pageBits);
-        host::HostCore core(single.platform, policy);
-        auto start = std::chrono::steady_clock::now();
-        if (batched)
-            replayBatched(core, stream);
-        else
-            replayPerOp(core, stream);
-        double s = secondsSince(start);
-        sig = coreSignature(core);
-        return s;
-    };
-    std::string batched_sig, per_op_sig;
-    double per_op_s = 1e30, batched_s = 1e30;
-    for (int r = 0; r < 7; ++r) {
-        per_op_s = std::min(per_op_s,
-                            timed_replay(false, per_op_sig));
-        batched_s = std::min(batched_s,
-                             timed_replay(true, batched_sig));
-    }
-    bool batch_identical = batched_sig == per_op_sig;
-    double batch_speedup = per_op_s / batched_s;
-    double ops_m = (double)stream.size() / 1e6;
-
-    std::printf("\n%-28s %10s %10s %10s\n",
-                "sink delivery", "wall s", "Mops/s", "speedup");
-    std::printf("%-28s %10.3f %10.1f %10s\n",
-                "per-op virtual (ablation)", per_op_s,
-                ops_m / per_op_s, "1.00x");
-    std::printf("%-28s %10.3f %10.1f %9.2fx  identical: %s\n",
-                "batched (4096-op spans)", batched_s,
-                ops_m / batched_s, batch_speedup,
-                batch_identical ? "yes" : "NO");
-
-    // End-to-end context: the same contract difference inside full
-    // runs, where the (identical) guest simulator and synthesizer
-    // dominate. Reported, not gated.
-    auto best_run = [](RunConfig cfg, int reps) {
-        double best = 1e30;
-        for (int r = 0; r < reps; ++r) {
-            auto start = std::chrono::steady_clock::now();
-            runProfiledSimulation(cfg);
-            best = std::min(best, secondsSince(start));
-        }
-        return best;
-    };
-    double run_batched_s = best_run(single, 3);
-    RunConfig per_op_cfg = single;
-    per_op_cfg.sinkBatchOps = 1;
-    double run_per_op_s = best_run(per_op_cfg, 3);
-    std::printf("%-28s %10.3f %10s %9.2fx  (reported only)\n",
-                "full run, per-op vs batch", run_batched_s, "-",
-                run_per_op_s / run_batched_s);
-
-    // ----------------------------------------------------------
     // Gates first (so the JSON can record their status), then JSON.
     // Every gate is recorded whether it applies or not: a gate that
     // cannot run on this host (the 3x/4-thread scaling gate needs
@@ -355,15 +165,9 @@ main(int argc, char **argv)
     std::vector<Gate> gates;
 
     char detail[160];
-    gates.push_back({"pooled_and_batched_identical", true,
-                     identical && batch_identical,
-                     "pooled sweeps and batched delivery byte-equal "
-                     "to the serial reference"});
-    std::snprintf(detail, sizeof detail,
-                  "batched delivery %.2fx over per-op (gate 1.15x)",
-                  batch_speedup);
-    gates.push_back({"batched_speedup_1.15x", true,
-                     batch_speedup >= 1.15, detail});
+    gates.push_back({"pooled_identical", true, identical,
+                     "pooled sweeps byte-equal to the serial "
+                     "reference"});
     {
         bool applies = hw >= 4;
         double x4 = serial_s / points.back().seconds;
@@ -407,18 +211,6 @@ main(int argc, char **argv)
         json << buf;
     }
     json << "  ],\n"
-         << "  \"delivery_ops\": " << stream.size() << ",\n"
-         << "  \"batched_seconds\": " << batched_s << ",\n"
-         << "  \"per_op_seconds\": " << per_op_s << ",\n"
-         << "  \"batched_mops\": " << ops_m / batched_s << ",\n"
-         << "  \"per_op_mops\": " << ops_m / per_op_s << ",\n"
-         << "  \"batched_speedup\": " << batch_speedup << ",\n"
-         << "  \"batched_identical\": "
-         << (batch_identical ? "true" : "false") << ",\n"
-         << "  \"full_run_batched_seconds\": " << run_batched_s
-         << ",\n"
-         << "  \"full_run_per_op_seconds\": " << run_per_op_s
-         << ",\n"
          << "  \"gates\": [\n";
     for (std::size_t i = 0; i < gates.size(); ++i) {
         const Gate &g = gates[i];

@@ -3,6 +3,7 @@
 #include "base/logging.hh"
 #include "mem/packet_pool.hh"
 #include "trace/code_layout.hh"
+#include "trace/pipelined_sink.hh"
 #include "trace/synthesizer.hh"
 
 namespace g5p::core
@@ -106,10 +107,13 @@ runProfiledSimulation(const RunConfig &config)
     }
 
     host::HostCore core(platform, policy);
-    trace::Synthesizer synth(layout, core, config.seed,
+    // The host model consumes the synthesized stream on the stage's
+    // worker thread while the simulation runs here. Declared between
+    // the two so that, on unwinding, the synthesizer flushes into a
+    // live stage and the stage joins its worker before the core goes.
+    trace::PipelinedSink pipe(core);
+    trace::Synthesizer synth(layout, pipe, config.seed,
                              config.tuning.optO3 ? o3WorkScale : 1.0);
-    if (config.sinkBatchOps)
-        synth.setBatchOps(config.sinkBatchOps);
     FuncProfile profile;
 
     trace::Recorder recorder;
@@ -155,8 +159,10 @@ runProfiledSimulation(const RunConfig &config)
         sim_result = system.run();
     }
     recorder.deactivate();
-    // Deliver the buffered tail before reading core counters.
+    // Deliver the buffered tail and wait for the host model to take
+    // it before reading core counters.
     synth.flush();
+    pipe.drain();
 
     if (config.profiler)
         config.profiler->endSpan();

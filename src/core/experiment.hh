@@ -77,15 +77,6 @@ struct RunConfig
 
     std::uint64_t seed = 1;
 
-    /**
-     * Trace->host delivery granularity: host instructions buffered
-     * per batched sink call. 0 selects the synthesizer default
-     * (trace::Synthesizer::defaultBatchOps); 1 forces the unbatched
-     * per-op virtual path (the batching ablation). Either setting
-     * produces bit-identical counters.
-     */
-    std::size_t sinkBatchOps = 0;
-
     /** Run-control knobs (watchdog, auto-checkpoint, fault seed,
      *  owned profiler) applied to the run's Simulator. */
     sim::RunOptions run;
@@ -156,6 +147,9 @@ struct RunResult
 
 /**
  * Run one profiled simulation. Deterministic for a given config.
+ * The host model runs on a second thread (trace::PipelinedSink),
+ * overlapping the synthesizer; results are bit-identical to feeding
+ * it directly.
  */
 RunResult runProfiledSimulation(const RunConfig &config);
 

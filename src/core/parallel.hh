@@ -12,10 +12,12 @@
  * Isolation contract — what makes results byte-identical to serial:
  *
  *  - every job builds its own Simulator, EventQueue, HostCore,
- *    Synthesizer, and DataSpace; nothing mutable is shared between
- *    jobs (the retired process-globals — the active Recorder, the
- *    current DataSpace, the EventPool arena, the checkpoint-I/O and
- *    timing-fault hooks — are all thread-local now);
+ *    Synthesizer, and DataSpace (the HostCore runs on a pipeline
+ *    thread the job owns, so a job keeps two threads busy); nothing
+ *    mutable is shared between jobs (the retired process-globals —
+ *    the active Recorder, the current DataSpace, the EventPool
+ *    arena, the checkpoint-I/O and timing-fault hooks — are all
+ *    thread-local now);
  *  - each job's RNG streams are seeded from its RunConfig alone;
  *  - the shared trace::FuncRegistry is append-only with idempotent
  *    registration and lock-free reads, and every result quantity is

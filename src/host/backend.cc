@@ -3,8 +3,6 @@
 namespace g5p::host
 {
 
-using trace::HostOp;
-
 BackendModel::BackendModel(const HostPlatformConfig &config,
                            const PageSizePolicy &policy,
                            Uncore &uncore)
@@ -13,12 +11,6 @@ BackendModel::BackendModel(const HostPlatformConfig &config,
       dcache_(config.dcache),
       dtlb_(config.dtlb, &policy)
 {
-}
-
-void
-BackendModel::onOp(const HostOp &op, HostCounters &counters)
-{
-    onOpInline(op, counters);
 }
 
 } // namespace g5p::host

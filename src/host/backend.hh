@@ -24,15 +24,8 @@ class BackendModel
     BackendModel(const HostPlatformConfig &config,
                  const PageSizePolicy &policy, Uncore &uncore);
 
-    /**
-     * Account the memory/core costs of one op. Out-of-line wrapper
-     * around onOpInline() for the per-op sink path (HostCore::op) —
-     * the pre-batching cross-TU call the ablation measures.
-     */
-    void onOp(const trace::HostOp &op, HostCounters &counters);
-
-    /** The same accounting, inline below for the batched sink loop.
-     *  Bit-identical to onOp(). */
+    /** Account the memory/core costs of one op; inline below for
+     *  the sink loop (HostCore::ops). */
     void onOpInline(const trace::HostOp &op, HostCounters &counters);
 
     const HostCache &dcache() const { return dcache_; }

@@ -6,8 +6,6 @@
 namespace g5p::host
 {
 
-using trace::HostOp;
-
 namespace
 {
 
@@ -40,12 +38,6 @@ FrontendModel::FrontendModel(const HostPlatformConfig &config,
     g5p_assert(isPowerOf2(config.lineBytes),
                "fetch line size must be a power of two (%u)",
                config.lineBytes);
-}
-
-void
-FrontendModel::onOp(const HostOp &op, HostCounters &counters)
-{
-    onOpInline(op, counters);
 }
 
 } // namespace g5p::host

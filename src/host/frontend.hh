@@ -32,20 +32,11 @@ class FrontendModel
                   const PageSizePolicy &policy, Uncore &uncore);
 
     /**
-     * Account the fetch/decode/branch costs of one op. Out-of-line
-     * wrapper around onOpInline(): the per-op sink path (HostCore::op)
-     * calls this across the TU boundary, which is exactly the
-     * pre-batching delivery cost the ablation measures.
-     */
-    void onOp(const trace::HostOp &op, HostCounters &counters);
-
-    /**
-     * The same accounting, defined inline below. The batched sink
-     * loop (HostCore::ops) calls this so the compiler can fuse the
+     * Account the fetch/decode/branch costs of one op. Defined
+     * inline below so that the sink loop (HostCore::ops) can fuse the
      * whole model chain — front-end, back-end, caches, TLBs, DSB,
      * predictor, uncore — into one loop body and keep the hot state
-     * in registers across ops. Identical statements in identical
-     * order as onOp(), so results are bit-identical.
+     * in registers across ops.
      */
     void onOpInline(const trace::HostOp &op, HostCounters &counters);
 

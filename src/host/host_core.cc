@@ -19,25 +19,12 @@ HostCore::HostCore(const HostPlatformConfig &config,
 HostCore::~HostCore() = default;
 
 void
-HostCore::op(const trace::HostOp &op)
-{
-    ++counters_.insts;
-    counters_.uops += op.uops;
-    counters_.baseCycles += uopCycles_[op.uops];
-
-    frontend_->onOp(op, counters_);
-    backend_->onOp(op, counters_);
-}
-
-void
 HostCore::ops(const trace::HostOp *batch, std::size_t count)
 {
-    // The batched win: onOpInline is visible here, so the whole model
-    // chain (front-end, back-end, caches, TLBs, DSB, predictor,
-    // uncore) fuses into this one loop — no per-op calls at all,
-    // versus op()'s virtual dispatch plus two cross-TU calls per
-    // instruction. Same statements in the same order, so the counters
-    // come out bit-identical to the per-op path.
+    // onOpInline is visible here, so the whole model chain
+    // (front-end, back-end, caches, TLBs, DSB, predictor, uncore)
+    // fuses into this one loop with the model pointers hoisted out
+    // of it: no per-op calls at all.
     HostCounters &counters = counters_;
     FrontendModel &frontend = *frontend_;
     BackendModel &backend = *backend_;

@@ -32,14 +32,13 @@ class HostCore : public trace::HostInstSink
              const PageSizePolicy &policy);
     ~HostCore() override;
 
-    /** HostInstSink: account one instruction. */
-    void op(const trace::HostOp &op) override;
+    /** HostInstSink: account one instruction (a one-op batch). */
+    void op(const trace::HostOp &op) override { ops(&op, 1); }
 
     /**
-     * HostInstSink: account a batch. Same per-op arithmetic in the
-     * same order as op() — results are bit-identical — but one
-     * virtual call amortized over the whole batch with the model
-     * pointers hoisted out of the loop.
+     * HostInstSink: account a batch, one op after another. Results
+     * depend only on the op sequence, never on where it is split
+     * into batches.
      */
     void ops(const trace::HostOp *batch, std::size_t count) override;
 

@@ -22,21 +22,12 @@ Synthesizer::Synthesizer(CodeLayout &layout, HostInstSink &sink,
       workScale_(work_scale)
 {
     stack_.reserve(96);
-    batch_.reserve(defaultBatchOps);
+    batch_.reserve(batchOps);
 }
 
 Synthesizer::~Synthesizer()
 {
     flush();
-}
-
-void
-Synthesizer::setBatchOps(std::size_t n)
-{
-    flush();
-    batchCap_ = n < 1 ? 1 : n;
-    if (batchCap_ > 1)
-        batch_.reserve(batchCap_);
 }
 
 void

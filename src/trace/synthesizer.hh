@@ -64,11 +64,10 @@ class HostInstSink
 
     /**
      * Deliver a contiguous batch of host instructions, in program
-     * order. The synthesizer buffers its stream and delivers through
-     * this entry point (one virtual call per ~4096 instructions
-     * instead of one per instruction). The default implementation is
-     * a shim looping over op(), so existing single-op sinks keep
-     * working unchanged and produce identical results.
+     * order. The synthesizer buffers its stream and delivers only
+     * through this entry point (one virtual call per
+     * Synthesizer::batchOps instructions). The default implementation
+     * is a shim looping over op(), so single-op sinks work unchanged.
      */
     virtual void
     ops(const HostOp *batch, std::size_t count)
@@ -104,21 +103,14 @@ class Synthesizer : public TraceConsumer
                  bool is_write) override;
     /** @} */
 
-    /** Default instructions buffered per ops() delivery. */
-    static constexpr std::size_t defaultBatchOps = 4096;
-
-    /**
-     * Set the delivery granularity. @p n <= 1 selects the unbatched
-     * path (one virtual op() call per instruction — the pre-batching
-     * behavior, kept for the ablation); larger values buffer @p n
-     * instructions per ops() call. Flushes any buffered tail first.
-     */
-    void setBatchOps(std::size_t n);
+    /** Instructions buffered per ops() delivery. */
+    static constexpr std::size_t batchOps = 4096;
 
     /**
      * Deliver any buffered instructions to the sink now. Call before
-     * reading sink-side state (counters) mid-run; the destructor
-     * flushes the final tail automatically.
+     * reading sink-side state (counters) mid-run, followed by
+     * PipelinedSink::drain() when the sink is a pipelined stage; the
+     * destructor flushes the final tail automatically.
      */
     void flush();
 
@@ -174,20 +166,13 @@ class Synthesizer : public TraceConsumer
 
     HostAddr stackSlot(std::uint32_t offset) const;
 
-    /**
-     * Hand one instruction to the delivery path: buffered (batched
-     * ops() calls) or straight through op() when batching is off.
-     */
+    /** Buffer one instruction; a full buffer goes to the sink. */
     void
     emit(const HostOp &op)
     {
         ++opsEmitted_;
-        if (batchCap_ <= 1) {
-            sink_.op(op);
-            return;
-        }
         batch_.push_back(op);
-        if (batch_.size() >= batchCap_)
+        if (batch_.size() >= batchOps)
             flush();
     }
 
@@ -197,10 +182,8 @@ class Synthesizer : public TraceConsumer
     double workScale_;
     std::vector<Frame> stack_;
 
-    /** @{ Delivery buffer (emit/flush). */
+    /** Delivery buffer (emit/flush). */
     std::vector<HostOp> batch_;
-    std::size_t batchCap_ = defaultBatchOps;
-    /** @} */
 
     /**
      * Per-function resume point: successive invocations continue

@@ -17,8 +17,10 @@
 
 #include "workloads/workload.hh"
 
+#include <algorithm>
 #include <bit>
 
+#include "base/addr_utils.hh"
 #include "base/logging.hh"
 #include "os/threads.hh"
 
@@ -66,6 +68,8 @@ emitForkJoin(isa::Assembler &as, unsigned num_cpus,
 // histograms its slice of the key array into a private 16-bucket
 // table; the tables are packed 128 bytes apart so neighbouring
 // threads false-share tag lines. One barrier, then thread 0 reduces.
+// The tables sit past the keys: 1 MiB into the data segment, or at
+// the first page after the keys once they outgrow that (scale > 32).
 // ---------------------------------------------------------------
 
 class RadixThreads : public WorkloadBase
@@ -77,7 +81,13 @@ class RadixThreads : public WorkloadBase
 
     std::uint64_t numKeys() const { return scaled(4096); }
 
-    static constexpr Addr histBase = dataBase + 0x100000;
+    Addr
+    histBase() const
+    {
+        return dataBase + std::max<Addr>(0x100000,
+                                         alignUp(numKeys() * 8, 0x1000));
+    }
+
     static constexpr unsigned buckets = 16;
 
     void
@@ -101,7 +111,7 @@ class RadixThreads : public WorkloadBase
         as.slli(RegT0, 21, 7);
         as.slli(RegT1, 19, 3);
         as.add(RegT0, RegT0, RegT1);
-        as.li(RegT1, (std::int64_t)histBase);
+        as.li(RegT1, (std::int64_t)histBase());
         as.add(RegT0, RegT0, RegT1);
         as.ld(RegT1, RegT0, 0);
         as.add(20, 20, RegT1);
@@ -133,7 +143,7 @@ class RadixThreads : public WorkloadBase
         as.li(RegT0, (std::int64_t)dataBase);
         as.slli(RegT1, 20, 3);
         as.add(22, RegT0, RegT1);           // key pointer
-        as.li(RegT0, (std::int64_t)histBase);
+        as.li(RegT0, (std::int64_t)histBase());
         as.slli(RegT1, 19, 7);
         as.add(23, RegT0, RegT1);           // private histogram
         as.bge(20, 21, "rt_w_done");

@@ -480,6 +480,9 @@ guestCases()
             cases.push_back({"radix_threads", 0.25, model, cores});
             cases.push_back({"lu_threads", 0.75, model, cores});
         }
+    // Above scale 32 the keys outgrow the first 1 MiB of the data
+    // segment, where the histograms used to sit.
+    cases.push_back({"radix_threads", 40, CpuModel::Atomic, 2});
     return cases;
 }
 
@@ -490,6 +493,10 @@ INSTANTIATE_TEST_SUITE_P(
         os << info.param.workload << "_"
            << cpuModelName(info.param.model) << "_"
            << info.param.cores << "core";
+        // Large-input cases carry their scale, so they stay unique
+        // beside the small-scale matrix.
+        if (info.param.scale > 1)
+            os << "_scale" << info.param.scale;
         return os.str();
     });
 

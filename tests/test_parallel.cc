@@ -10,16 +10,23 @@
  * checkpoint/restore mid-job) to prove the retired process-globals —
  * recorder, DataSpace, event pool, checkpoint I/O hook — really are
  * per-thread now.
+ *
+ * The PipelinedSink suite covers the stage that runs each profiled
+ * run's host model on a second thread: bit-identity with the serial
+ * synthesizer -> host model chain, order, the drain/exception
+ * contract, and teardown with batches still queued.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <numeric>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -27,6 +34,9 @@
 #include "core/parallel.hh"
 #include "isa/decoder.hh"
 #include "os/system.hh"
+#include "trace/code_layout.hh"
+#include "trace/pipelined_sink.hh"
+#include "trace/recorder.hh"
 #include "workloads/workload.hh"
 
 using namespace g5p;
@@ -198,28 +208,6 @@ TEST(Parallel, DeterministicUnderShuffledSubmission)
         for (std::size_t i = 0; i < perm.size(); ++i)
             EXPECT_EQ(serial[perm[i]], pooled[i])
                 << "round " << round << " slot " << i;
-    }
-}
-
-TEST(Parallel, BatchedSinkMatchesPerOpShim)
-{
-    // The batched ops() path must be bit-identical to the per-op
-    // virtual shim: same Top-Down counters, same everything.
-    for (os::CpuModel model :
-         {os::CpuModel::Atomic, os::CpuModel::O3}) {
-        RunConfig batched;
-        batched.workload = "water_nsquared";
-        batched.workloadScale = 0.25;
-        batched.cpuModel = model;
-        batched.platform = host::xeonConfig();
-
-        RunConfig unbatched = batched;
-        unbatched.sinkBatchOps = 1;
-
-        RunResult a = runProfiledSimulation(batched);
-        RunResult b = runProfiledSimulation(unbatched);
-        EXPECT_EQ(resultSignature(a), resultSignature(b))
-            << os::cpuModelName(model);
     }
 }
 
@@ -590,4 +578,310 @@ TEST(Parallel, ConcurrentDecodersAreIndependent)
         EXPECT_EQ(cacheSizes[t], words.size());
         EXPECT_EQ(decodes[t], 100u * words.size());
     }
+}
+
+// ---------------------------------------------------------------
+// Pipelined trace->host stage
+// ---------------------------------------------------------------
+
+namespace
+{
+
+using trace::HostOp;
+using trace::PipelinedSink;
+
+/**
+ * runProfiledSimulation rebuilt with the synthesizer feeding the
+ * host model directly, on this thread: the serial chain the
+ * pipelined run must reproduce bit for bit. Covers default tuning
+ * (every config below), fast-forward included.
+ */
+RunResult
+runSerialChain(const RunConfig &config)
+{
+    RunResult result;
+    result.workload = config.workload;
+    result.platform = config.platform.name;
+    result.cpuModel = config.cpuModel;
+    result.mode = config.mode;
+
+    sim::Simulator simulator("system");
+    auto workload = workloads::Registry::instance().create(
+        config.workload, config.workloadScale);
+    bool fast_forward = config.fastForwardInsts > 0 &&
+                        config.cpuModel != CpuModel::Atomic;
+    SystemConfig sys_cfg;
+    sys_cfg.cpuModel = fast_forward ? CpuModel::Atomic
+                                    : config.cpuModel;
+    sys_cfg.mode = config.mode;
+    sys_cfg.numCpus = config.guestCpus;
+    sys_cfg.maxInstsPerCpu = config.maxGuestInsts;
+    System system(simulator, sys_cfg, *workload);
+
+    host::HostPlatformConfig platform = effectivePlatform(config);
+    trace::LayoutOptions layout_opts;
+    layout_opts.seed ^= config.seed * 0x9e3779b97f4a7c15ULL;
+    trace::CodeLayout layout(trace::FuncRegistry::instance(),
+                             layout_opts);
+    host::PageSizePolicy policy(platform.pageBits);
+    host::HostCore core(platform, policy);
+    trace::Synthesizer synth(layout, core, config.seed);
+    trace::Recorder recorder;
+    recorder.addConsumer(&synth);
+    recorder.activate();
+
+    sim::SimResult res;
+    if (fast_forward) {
+        system.cpu(0).setInstMilestone(
+            config.fastForwardInsts, [&simulator] {
+                simulator.exitSimLoop("fast-forward boundary",
+                                      sim::ExitCause::User);
+            });
+        res = system.run();
+        if (res.cause == sim::ExitCause::User) {
+            system.switchCpu(config.cpuModel);
+            res = system.run();
+        }
+    } else {
+        res = system.run();
+    }
+    recorder.deactivate();
+    synth.flush();
+
+    result.exitCause = res.cause;
+    result.counters = core.counters();
+    result.topdown = core.topdown();
+    result.hostSeconds = core.seconds(config.tuning.turbo);
+    result.ipc = result.counters.ipc();
+    result.hostInsts = result.counters.insts;
+    result.codeBytes = layout.totalCodeBytes();
+    result.guestInsts = system.totalInsts();
+    result.simTicks = res.tick;
+    result.guestResult = system.result();
+    std::uint64_t expected = workload->expectedResult(config.guestCpus);
+    result.resultChecked = expected != 0 && config.maxGuestInsts == 0;
+    result.resultOk =
+        !result.resultChecked || result.guestResult == expected;
+    result.functionCdf = FunctionCdf::build(synth.selfOps());
+    result.distinctFunctions = result.functionCdf.size();
+    return result;
+}
+
+/** Records every op it is handed, in order, and counts batches. */
+struct RecordingSink : trace::HostInstSink
+{
+    void op(const HostOp &op) override { ops(&op, 1); }
+
+    void
+    ops(const HostOp *batch, std::size_t count) override
+    {
+        ++batches;
+        stream.insert(stream.end(), batch, batch + count);
+    }
+
+    std::vector<HostOp> stream;
+    std::size_t batches = 0;
+};
+
+/** A recognizable op: its pc is its position in the stream. */
+HostOp
+numberedOp(std::size_t i)
+{
+    HostOp op;
+    op.pc = 0x40'0000 + i;
+    return op;
+}
+
+std::vector<HostOp>
+numberedOps(std::size_t first, std::size_t count)
+{
+    std::vector<HostOp> ops;
+    for (std::size_t i = 0; i < count; ++i)
+        ops.push_back(numberedOp(first + i));
+    return ops;
+}
+
+/** Raised by FailingSink. */
+struct DownstreamFailure : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/** Throws DownstreamFailure from its third batch. */
+struct FailingSink : trace::HostInstSink
+{
+    void op(const HostOp &op) override { ops(&op, 1); }
+
+    void
+    ops(const HostOp *, std::size_t) override
+    {
+        if (++batches == 3)
+            throw DownstreamFailure("third batch");
+    }
+
+    std::size_t batches = 0;
+};
+
+/** Drives @p synth through enough scopes to emit several batches. */
+void
+driveSynthesizer(trace::Synthesizer &synth, std::size_t min_ops)
+{
+    auto &reg = trace::FuncRegistry::instance();
+    trace::FuncId outer =
+        reg.lookup("Pipe::outer", trace::FuncKind::EventHandler);
+    trace::FuncId inner =
+        reg.lookup("Pipe::inner", trace::FuncKind::MemAccess);
+    for (int i = 0; synth.opsEmitted() < min_ops; ++i) {
+        synth.funcEnter(outer);
+        synth.funcEnter(inner);
+        synth.dataRef(0x2000'0000 + (HostAddr)(i % 512) * 64, 8,
+                      i % 2);
+        synth.funcExit(inner);
+        synth.funcExit(outer);
+    }
+}
+
+} // namespace
+
+TEST(PipelinedSink, ProfiledRunsMatchSerialChain)
+{
+    std::vector<RunConfig> configs;
+    for (CpuModel model : allCpuModels) {
+        RunConfig cfg;
+        cfg.workload = "water_nsquared";
+        cfg.workloadScale = 0.25;
+        cfg.cpuModel = model;
+        cfg.platform = host::xeonConfig();
+        configs.push_back(cfg);
+    }
+    // Two cores kept coherent by MESI: the op stream interleaves
+    // both CPUs' scopes and the coherence traffic.
+    RunConfig mesi;
+    mesi.workload = "lu_threads";
+    mesi.workloadScale = 0.75;
+    mesi.cpuModel = CpuModel::Timing;
+    mesi.guestCpus = 2;
+    mesi.platform = host::xeonConfig();
+    configs.push_back(mesi);
+    // Atomic to the boundary, then switchCpu to O3 mid-run.
+    RunConfig ffwd = configs[0];
+    ffwd.cpuModel = CpuModel::O3;
+    ffwd.fastForwardInsts = 5000;
+    ffwd.seed = 3;
+    configs.push_back(ffwd);
+
+    for (const RunConfig &cfg : configs) {
+        SCOPED_TRACE(cfg.workload + " on " + cpuModelName(cfg.cpuModel) +
+                     " x" + std::to_string(cfg.guestCpus));
+        RunResult piped = runProfiledSimulation(cfg);
+        RunResult serial = runSerialChain(cfg);
+        ASSERT_EQ(piped.exitCause, sim::ExitCause::Finished);
+        EXPECT_TRUE(piped.resultOk);
+        EXPECT_GT(piped.hostInsts, 2 * PipelinedSink::slotOps *
+                                       PipelinedSink::ringSlots);
+        EXPECT_EQ(resultSignature(piped), resultSignature(serial));
+    }
+}
+
+TEST(PipelinedSink, ForwardsEveryOpInOrder)
+{
+    RecordingSink sink;
+    std::vector<HostOp> sent;
+    {
+        PipelinedSink pipe(sink);
+        auto send = [&](const std::vector<HostOp> &batch) {
+            pipe.ops(batch.data(), batch.size());
+            sent.insert(sent.end(), batch.begin(), batch.end());
+        };
+        // Batches smaller than, equal to and larger than a slot (the
+        // last is split across slots), an empty one, and single ops.
+        send(numberedOps(0, 10));
+        send(numberedOps(10, PipelinedSink::slotOps));
+        send(numberedOps(10 + PipelinedSink::slotOps,
+                         3 * PipelinedSink::slotOps + 7));
+        pipe.ops(nullptr, 0);
+        for (std::size_t i = 0; i < 5; ++i) {
+            HostOp op = numberedOp(sent.size());
+            pipe.op(op);
+            sent.push_back(op);
+        }
+
+        // A drain mid-stream leaves the stage usable.
+        pipe.drain();
+        EXPECT_EQ(sink.stream.size(), sent.size());
+        send(numberedOps(sent.size(), 100));
+        pipe.drain();
+    }
+    ASSERT_EQ(sink.stream.size(), sent.size());
+    for (std::size_t i = 0; i < sent.size(); ++i)
+        ASSERT_EQ(sink.stream[i].pc, sent[i].pc) << "op " << i;
+    // 10 | slot | 3 slots + 7 | five single ops | 100.
+    EXPECT_EQ(sink.batches, 1u + 1u + 4u + 5u + 1u);
+}
+
+TEST(PipelinedSink, DrainRethrowsDownstreamFailure)
+{
+    FailingSink sink;
+    PipelinedSink pipe(sink);
+    std::vector<HostOp> batch = numberedOps(0, 64);
+    for (int i = 0; i < 10; ++i)
+        pipe.ops(batch.data(), batch.size()); // never throws
+    EXPECT_THROW(pipe.drain(), DownstreamFailure);
+
+    // Everything after the failing batch is dropped, and the failure
+    // stays reported.
+    pipe.ops(batch.data(), batch.size());
+    EXPECT_THROW(pipe.drain(), DownstreamFailure);
+    EXPECT_EQ(sink.batches, 3u);
+}
+
+TEST(PipelinedSink, UnwindingThroughSynthesizerAfterFailure)
+{
+    // A failure elsewhere in the run unwinds through ~Synthesizer,
+    // which flushes its tail into a stage whose downstream already
+    // failed; neither may throw (std::terminate) or hang.
+    FailingSink sink;
+    trace::CodeLayout layout(trace::FuncRegistry::instance());
+    auto failing_run = [&] {
+        PipelinedSink pipe(sink);
+        trace::Synthesizer synth(layout, pipe, 9);
+        driveSynthesizer(synth, 6 * trace::Synthesizer::batchOps + 100);
+        throw std::logic_error("simulation failed mid-run");
+    };
+    EXPECT_THROW(failing_run(), std::logic_error);
+    EXPECT_EQ(sink.batches, 3u);
+
+    // The same chain drained normally reports the sink's failure.
+    FailingSink sink2;
+    PipelinedSink pipe(sink2);
+    trace::Synthesizer synth(layout, pipe, 9);
+    driveSynthesizer(synth, 6 * trace::Synthesizer::batchOps + 100);
+    synth.flush();
+    EXPECT_THROW(pipe.drain(), DownstreamFailure);
+}
+
+TEST(PipelinedSink, DestructionJoinsWithSlotsQueued)
+{
+    /** Takes its time over every batch. */
+    struct SlowSink : RecordingSink
+    {
+        void
+        ops(const HostOp *batch, std::size_t count) override
+        {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            RecordingSink::ops(batch, count);
+        }
+    } sink;
+
+    const std::size_t batches = PipelinedSink::ringSlots + 2;
+    {
+        PipelinedSink pipe(sink);
+        std::vector<HostOp> batch = numberedOps(0, 32);
+        for (std::size_t i = 0; i < batches; ++i)
+            pipe.ops(batch.data(), batch.size());
+        // No drain: the destructor runs with slots still queued.
+    }
+    // The worker finished the queue before the join.
+    EXPECT_EQ(sink.batches, batches);
+    EXPECT_EQ(sink.stream.size(), batches * 32);
 }

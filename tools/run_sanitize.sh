@@ -141,6 +141,9 @@ if [ "${G5P_SKIP_TSAN:-0}" != "1" ]; then
     echo "== ctest parallel suites (preset: tsan) =="
     # The timing-path suites join because the packet pool and THP
     # arenas are thread-local by design — TSan proves no state leaks
-    # across the pool threads that run whole simulations.
-    ctest --preset tsan -R '^(Parallel|Checkpoint|Sampling|Coherence|Service)|Dispatch|Pool'
+    # across the pool threads that run whole simulations. The
+    # PipelinedSink suite covers the ring every profiled run hands
+    # its host model through: slot publication, the spin/block
+    # handshake, failure propagation and teardown.
+    ctest --preset tsan -R '^(Parallel|Checkpoint|Sampling|Coherence|Service|PipelinedSink)|Dispatch|Pool'
 fi
