@@ -1,15 +1,14 @@
 /**
  * @file
- * Modeled Top-Down of mg5's own front-end optimization: devirtualized
- * event dispatch plus hot/cold text layout and THP-backed text.
+ * Modeled Top-Down of mg5's own front-end optimization: hot/cold text
+ * layout and THP-backed text.
  *
- * The hostsim pipeline marks event-entry trace scopes virtual or
- * direct via sim::modeledDispatchVirtual(). Running the same profiled
- * simulation with the flag on (gem5-faithful "before") and off
- * (table-dispatch "after", with the hot layout and THP text the build
- * ships) must show front-end-bound% dropping: the fig. 2/3-style
+ * Running the same profiled simulation with the stock layout
+ * ("before") and with the hot layout and THP text the build ships
+ * ("after") must show front-end-bound% dropping: the fig. 2/3-style
  * evidence that the optimization attacks the bottleneck the paper
- * diagnosed rather than some accidental slack.
+ * diagnosed rather than some accidental slack. Event entries are the
+ * virtual process() call in both legs, as in the binary.
  *
  * The wall-clock side is an A/B against an earlier revision:
  * `bash benchmark/ab.sh <rev> --workload W`.
@@ -22,8 +21,6 @@
 #include <string>
 
 #include "bench_common.hh"
-#include "sim/event_dispatch.hh"
-#include "trace/func_registry.hh"
 
 using namespace g5p;
 
@@ -44,12 +41,10 @@ main(int argc, char **argv)
         }
     }
 
-    // Before: virtual event entries, stock text layout. After: table
-    // entries plus the hot/cold split and order file, THP-backed
-    // text. The dispatch flag kills the megamorphic-site resteers,
-    // hotLayout densifies the fetched text, and thpCode backs the
-    // packed hot pages with huge pages — the icache/iTLB share of
-    // front-end bound.
+    // Before: stock text layout. After: the hot/cold split and order
+    // file, THP-backed text. hotLayout densifies the fetched text and
+    // thpCode backs the packed hot pages with huge pages — the
+    // icache/iTLB share of front-end bound.
     core::RunConfig cfg;
     cfg.workload = "water_nsquared";
     cfg.cpuModel = os::CpuModel::O3;
@@ -58,32 +53,26 @@ main(int argc, char **argv)
     cfg.maxGuestInsts = quick ? 4000 : 12000;
 
     std::fprintf(stderr, "  running modeled Top-Down legs ...\n");
-    sim::setModeledDispatchVirtual(true);
-    trace::FuncRegistry::instance().resetForTest();
     core::RunResult before = core::runProfiledSimulation(cfg);
-    trace::FuncRegistry::instance().resetForTest();
-    sim::setModeledDispatchVirtual(false);
     cfg.tuning.hotLayout = true;
     cfg.tuning.thpCode = true;
     core::RunResult after = core::runProfiledSimulation(cfg);
-    sim::setModeledDispatchVirtual(true);
-    trace::FuncRegistry::instance().resetForTest();
 
     double fe_before = before.topdown.frontendBound();
     double fe_after = after.topdown.frontendBound();
     core::printBanner(std::cout,
-        "Modeled Top-Down: O3/water_nsquared, virtual vs table "
-        "event entry");
+        "Modeled Top-Down: O3/water_nsquared, stock vs hot layout "
+        "and THP text");
     {
         core::Table table({"leg", "retiring", "bad spec", "FE bound",
                            "BE bound"});
-        table.addRow({"before (virtual)",
+        table.addRow({"before (stock layout)",
                       fmtPercent(before.topdown.retiring),
                       fmtPercent(
                           before.topdown.badSpeculation),
                       fmtPercent(fe_before),
                       fmtPercent(before.topdown.backendBound)});
-        table.addRow({"after (table+hot layout)",
+        table.addRow({"after (hot layout+THP)",
                       fmtPercent(after.topdown.retiring),
                       fmtPercent(after.topdown.badSpeculation),
                       fmtPercent(fe_after),

@@ -114,11 +114,9 @@ runProfiledSimulation(const RunConfig &config)
     trace::PipelinedSink pipe(core);
     trace::Synthesizer synth(layout, pipe, config.seed,
                              config.tuning.optO3 ? o3WorkScale : 1.0);
-    FuncProfile profile;
 
     trace::Recorder recorder;
     recorder.addConsumer(&synth);
-    recorder.addConsumer(&profile);
     recorder.activate();
 
     simulator.configure(config.run);

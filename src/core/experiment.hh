@@ -40,9 +40,8 @@ struct TuningConfig
      * file (the G5P_HOT_LAYOUT build of mg5 itself): cold paths move
      * out of the fall-through text and tools/hot_order.txt packs the
      * survivors, so the same executed bytes land on far fewer lines
-     * and pages. Models the layout half of the PR 9 front-end work;
-     * pair with sim::setModeledDispatchVirtual(false) for the full
-     * before/after story (bench/abl_frontend does exactly that).
+     * and pages. Models the PR 9 front-end work; bench/abl_frontend
+     * runs it, with thpCode, against the stock layout.
      */
     bool hotLayout = false;
 

@@ -1,6 +1,5 @@
 #include "cpu/atomic_cpu.hh"
 
-#include "sim/event_dispatch.hh"
 #include "trace/recorder.hh"
 
 namespace g5p::cpu
@@ -77,8 +76,7 @@ constexpr unsigned maxBatchInsts = 1024;
 void
 AtomicCpu::tick()
 {
-    G5P_TRACE_SCOPE("AtomicCpu::tick", CpuSimple,
-                    ::g5p::sim::modeledDispatchVirtual());
+    G5P_TRACE_SCOPE("AtomicCpu::tick", CpuSimple, true);
     if (halted_)
         return;
 

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "sim/event_dispatch.hh"
 #include "trace/recorder.hh"
 
 namespace g5p::cpu
@@ -60,8 +59,7 @@ MinorCpu::tick()
     if (waiting) {
         fetchBubbles_ += 1;
     } else {
-        G5P_TRACE_SCOPE("MinorCpu::tick", CpuDetailed,
-                        ::g5p::sim::modeledDispatchVirtual());
+        G5P_TRACE_SCOPE("MinorCpu::tick", CpuDetailed, true);
         tryExecute();
         tryFetch();
     }

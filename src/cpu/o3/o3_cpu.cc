@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "base/addr_utils.hh"
-#include "sim/event_dispatch.hh"
 #include "trace/recorder.hh"
 
 namespace g5p::cpu
@@ -74,8 +73,7 @@ O3Cpu::maybeReschedule()
 void
 O3Cpu::tick()
 {
-    G5P_TRACE_SCOPE("O3Cpu::tick", CpuDetailed,
-                    ::g5p::sim::modeledDispatchVirtual());
+    G5P_TRACE_SCOPE("O3Cpu::tick", CpuDetailed, true);
     if (halted_)
         return;
     commitStage();

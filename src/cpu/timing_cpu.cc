@@ -1,6 +1,5 @@
 #include "cpu/timing_cpu.hh"
 
-#include "sim/event_dispatch.hh"
 #include "trace/recorder.hh"
 
 namespace g5p::cpu
@@ -40,8 +39,7 @@ TimingCpu::activate()
 void
 TimingCpu::startFetch()
 {
-    G5P_TRACE_SCOPE("TimingCpu::startFetch", CpuSimple,
-                    ::g5p::sim::modeledDispatchVirtual());
+    G5P_TRACE_SCOPE("TimingCpu::startFetch", CpuSimple, true);
     if (halted_)
         return;
 

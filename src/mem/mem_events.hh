@@ -8,9 +8,8 @@
  * std::function capture, plus a freshly concatenated name string per
  * hop ("cpu0.icache.delayed" is past the SSO limit, so the busiest
  * allocation site on the whole detailed path was a *label*). The
- * typed events below replace that with plain members and a
- * registered dispatch kind; the name is built only when diagnostics
- * ask for it.
+ * typed events below replace that with plain members; the name is
+ * built only when diagnostics ask for it.
  *
  * Ownership: each event owns its packet from construction until the
  * moment it fires (take() hands the packet to the port/handler). An
@@ -97,8 +96,6 @@ class PacketRespEvent final : public PooledPacketEvent
         : PooledPacketEvent(pkt), port_(port),
           makeResponse_(make_response)
     {
-        setKind(sim::registeredEventKind<PacketRespEvent>(
-            "mem::PacketRespEvent"));
     }
 
     G5P_HOT void
@@ -130,8 +127,6 @@ class PacketReqEvent final : public PooledPacketEvent
         : PooledPacketEvent(pkt), port_(port),
           writable_(pkt->writable())
     {
-        setKind(sim::registeredEventKind<PacketReqEvent>(
-            "mem::PacketReqEvent"));
     }
 
     G5P_HOT void
@@ -161,8 +156,6 @@ class PacketDeliverEvent final : public PooledPacketEvent
     PacketDeliverEvent(RequestPort &port, PacketPtr pkt)
         : PooledPacketEvent(pkt), port_(port)
     {
-        setKind(sim::registeredEventKind<PacketDeliverEvent>(
-            "mem::PacketDeliverEvent"));
     }
 
     void process() override { port_.recvTimingResp(take()); }
@@ -180,8 +173,8 @@ class PacketDeliverEvent final : public PooledPacketEvent
 /**
  * Hand the packet to a member function of its owner after a delay —
  * the cache's post-tag-lookup continuation and deferred-queue retry.
- * Each instantiation registers its own dispatch kind, like
- * MemberEventWrapper.
+ * Named "<owner>.access", so the profiler charges it to the owning
+ * SimObject.
  */
 template <auto F>
 class PacketMemberEvent;
@@ -193,20 +186,13 @@ class PacketMemberEvent<F> final : public PooledPacketEvent
     PacketMemberEvent(T &owner, PacketPtr pkt)
         : PooledPacketEvent(pkt), owner_(owner)
     {
-        setKind(sim::registeredEventKind<PacketMemberEvent>(
-            kindLabel()));
     }
 
     G5P_HOT void process() override { (owner_.*F)(take()); }
 
-  private:
-    /** Unique per-instantiation kind name (embeds T and F). */
-    static const char *
-    kindLabel()
-    {
-        return __PRETTY_FUNCTION__;
-    }
+    std::string name() const override { return owner_.name() + ".access"; }
 
+  private:
     T &owner_;
 };
 

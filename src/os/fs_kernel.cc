@@ -1,6 +1,5 @@
 #include "os/fs_kernel.hh"
 
-#include "sim/event_dispatch.hh"
 #include "trace/recorder.hh"
 
 namespace g5p::os
@@ -111,8 +110,7 @@ FsKernel::startup()
 void
 FsKernel::timerTick()
 {
-    G5P_TRACE_SCOPE("FsKernel::timerTick", KernelSim,
-                    ::g5p::sim::modeledDispatchVirtual());
+    G5P_TRACE_SCOPE("FsKernel::timerTick", KernelSim, true);
     timerTicks_ += 1;
 
     // Scheduler bookkeeping: walk the run-queue region.

@@ -132,13 +132,7 @@ EventPool::usingHugePages()
 static_assert(sizeof(EventFunctionWrapper) <= EventPool::blockSize,
               "EventFunctionWrapper must fit an EventPool block");
 
-// The dispatch kind shares the tail-padding word; devirtualization
-// must not grow events.
-static_assert(sizeof(Event) == 7 * sizeof(void *),
-              "Event::kind_ must live in tail padding");
-
-EventQueue::EventQueue(std::string name)
-    : name_(std::move(name)), dispatch_(&EventDispatch::global())
+EventQueue::EventQueue(std::string name) : name_(std::move(name))
 {
 }
 
@@ -390,10 +384,7 @@ EventQueue::serviceTop()
     ++numServiced_;
 
     bool auto_delete = event->autoDelete();
-    // The devirtualized service call: one predictable load + call
-    // through the flat handler table. Kind 0's handler is the
-    // virtual process() call, so unregistered events need no branch.
-    dispatch_->invoke(event->kind_, *event);
+    event->process();
     if (profiler_)
         profiler_->endService();
     if (auto_delete && !event->scheduled())

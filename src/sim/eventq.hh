@@ -13,11 +13,8 @@
  * place (no lazy dead entries, no per-pop hash lookups, no compaction
  * stalls). See DESIGN.md §"Event queue internals".
  *
- * Dispatch: servicing an event is not a megamorphic virtual call.
- * Events carry an EventKind byte and every kind dispatches through
- * EventDispatch's flat handler table; kind 0's handler calls the
- * virtual process(), so an event that never registers still runs.
- * See sim/event_dispatch.hh and DESIGN.md §"Event dispatch".
+ * Servicing an event is the virtual Event::process() call; see
+ * DESIGN.md §"Event dispatch".
  *
  * Scheduling API: the reference-taking family — schedule(Event &,
  * Tick), deschedule(Event &), reschedule(Event &, Tick) — plus
@@ -38,7 +35,6 @@
 #include "base/compiler.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
-#include "sim/event_dispatch.hh"
 #include "trace/recorder.hh"
 
 namespace g5p::sim
@@ -53,11 +49,6 @@ class Profiler;
  * Abstract scheduled event. Subclasses implement process(). Events do
  * not own their memory unless flags say so; the common pattern (as in
  * gem5) is an event member inside the owning SimObject.
- *
- * In-tree event classes also register a dispatch kind (see
- * registeredEventKind) and adopt it via setKind(); the kind's handler
- * calls their process() directly. Subclasses that don't register keep
- * kind 0, whose handler makes the virtual call.
  */
 class Event
 {
@@ -96,9 +87,6 @@ class Event
     /** True while on a queue. */
     bool scheduled() const { return heapIndex_ != invalidIndex; }
 
-    /** Dispatch-table kind (fallbackKind = virtual process()). */
-    EventKind kind() const { return kind_; }
-
     /** If set, the queue deletes the event after process(). Must not
      *  change while scheduled (the queue counts transient events). */
     void
@@ -111,18 +99,6 @@ class Event
 
     /** @see setAutoDelete */
     bool autoDelete() const { return autoDelete_; }
-
-  protected:
-    /**
-     * Adopt a registered dispatch kind (constructors of in-tree
-     * event classes call this with their registeredEventKind).
-     */
-    void
-    setKind(EventKind kind)
-    {
-        g5p_assert(!scheduled(), "setKind on a scheduled event");
-        kind_ = kind;
-    }
 
   private:
     friend class EventQueue;
@@ -149,9 +125,6 @@ class Event
     std::uint32_t profKey_ = 0;
     std::int16_t priority_;
     bool autoDelete_ = false;
-    /** Dispatch kind; shares the tail-padding word with profKey_,
-     *  so devirtualization costs no event bytes either. */
-    EventKind kind_ = fallbackKind;
 };
 
 /**
@@ -206,8 +179,6 @@ class EventFunctionWrapper : public Event
         : Event(prio), callback_(std::move(callback)),
           name_(std::move(name))
     {
-        setKind(registeredEventKind<EventFunctionWrapper>(
-            "EventFunctionWrapper"));
     }
 
     /** Dynamic wrappers recycle through the event pool. */
@@ -242,10 +213,6 @@ class EventFunctionWrapper : public Event
  * Passing a name ("cpu0.tick") keeps the no-std::function layout but
  * gives the profiler and diagnostics a real label; the "owner.type"
  * convention is what wall-clock attribution splits on.
- *
- * Each instantiation registers its own dispatch kind, so servicing a
- * tick event compiles down to one table-indexed call that the
- * optimizer can devirtualize into a direct call to T::F.
  */
 template <auto F>
 class MemberEventWrapper;
@@ -257,16 +224,12 @@ class MemberEventWrapper<F> : public Event
     explicit MemberEventWrapper(T *object, Priority prio = DefaultPri)
         : Event(prio), object_(object)
     {
-        setKind(registeredEventKind<MemberEventWrapper>(
-            kindLabel()));
     }
 
     MemberEventWrapper(T *object, std::string name,
                        Priority prio = DefaultPri)
         : Event(prio), object_(object), name_(std::move(name))
     {
-        setKind(registeredEventKind<MemberEventWrapper>(
-            kindLabel()));
     }
 
     void process() override { (object_->*F)(); }
@@ -278,13 +241,6 @@ class MemberEventWrapper<F> : public Event
     }
 
   private:
-    /** Unique per-instantiation kind name (embeds T and F). */
-    static const char *
-    kindLabel()
-    {
-        return __PRETTY_FUNCTION__;
-    }
-
     T *object_;
     std::string name_;
 };
@@ -401,9 +357,9 @@ class EventQueue
 
     /**
      * Service exactly one event: advance curTick to its tick and run
-     * its kind's handler from the dispatch table. Returns the
-     * serviced event, or nullptr if empty. The returned pointer is
-     * dangling if the event auto-deleted.
+     * its process(). Returns the serviced event, or nullptr if
+     * empty. The returned pointer is dangling if the event
+     * auto-deleted.
      */
     G5P_HOT Event *serviceOne();
 
@@ -564,10 +520,6 @@ class EventQueue
     bool batchingAllowed_ = true;
     Tick serviceHorizon_ = maxTick;
     /** @} */
-
-    /** Cached global dispatch table (avoids the function-local
-     *  static guard in the service loop). */
-    const EventDispatch *dispatch_;
 
     /** 4-ary min-heap; heap_[i].event->heapIndex_ == i. */
     std::vector<HeapNode> heap_;

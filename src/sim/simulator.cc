@@ -44,7 +44,6 @@ class Simulator::ExitEvent : public Event
         : Event(SimExitPri), sim_(sim), message_(std::move(message)),
           cause_(cause), tag_(std::move(tag))
     {
-        setKind(registeredEventKind<ExitEvent>("Simulator::ExitEvent"));
         sim_.eventq_.registerSerial(tag_, this);
     }
 

@@ -75,18 +75,4 @@ FuncRegistry::g5p_registry_check(FuncId id) const
                "bad FuncId %u", id);
 }
 
-void
-FuncRegistry::resetForTest()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint32_t count = count_.load(std::memory_order_relaxed);
-    count_.store(0, std::memory_order_release);
-    for (std::uint32_t id = 0; id < count; ++id)
-        chunks_[id >> chunkShift]
-            .load(std::memory_order_relaxed)[id & (chunkEntries - 1)] =
-            FuncInfo{};
-    byName_.clear();
-    generation_.fetch_add(1, std::memory_order_acq_rel);
-}
-
 } // namespace g5p::trace

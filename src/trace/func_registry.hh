@@ -130,20 +130,6 @@ class FuncRegistry
         return count_.load(std::memory_order_acquire);
     }
 
-    /**
-     * Reset the registry (tests only; never while another thread is
-     * running). Invalidates all FuncIds and call-site caches, so
-     * never call it from library code.
-     */
-    void resetForTest();
-
-    /** Generation counter bumped by resetForTest(). */
-    std::uint64_t
-    generation() const
-    {
-        return generation_.load(std::memory_order_acquire);
-    }
-
     /** @{ Chunked storage geometry (entries never move). */
     static constexpr std::size_t chunkShift = 10;
     static constexpr std::size_t chunkEntries = 1u << chunkShift;
@@ -163,7 +149,6 @@ class FuncRegistry
      */
     std::array<std::atomic<FuncInfo *>, maxChunks> chunks_{};
     std::atomic<std::uint32_t> count_{0};
-    std::atomic<std::uint64_t> generation_{1};
 
     /** Serializes registration and byName_ access. */
     mutable std::mutex mutex_;

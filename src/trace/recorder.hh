@@ -151,10 +151,10 @@ class KeyedSiteCache;
  *
  * The site-cache constructors test Recorder::active() *before*
  * resolving the FuncId, so a scope in an un-profiled simulation costs
- * one thread-local load and a predictable branch — no registry
- * generation check, no atomic id load. (The flat profile of an
- * Atomic run showed the registry singleton call, at ~9 scopes per
- * instruction, as a top-ten entry all by itself.)
+ * one thread-local load and a predictable branch — no atomic id
+ * load. (The flat profile of an Atomic run showed the registry
+ * singleton call, at ~9 scopes per instruction, as a top-ten entry
+ * all by itself.)
  */
 class ScopeGuard
 {
@@ -188,15 +188,15 @@ class ScopeGuard
 };
 
 /**
- * Per-call-site cache of a FuncRegistry lookup, generation-checked so
- * FuncRegistry::resetForTest() invalidates it.
+ * Per-call-site cache of a FuncRegistry lookup. FuncIds never change
+ * once handed out, so the first resolution is final.
  *
  * The cache is a process-wide static shared by every thread running
- * through the site, so it is built from atomics: concurrent first
- * uses race benignly (registration is idempotent, both threads store
- * the same id), and the release store of gen_ publishes id_ to
- * readers that acquire-load it. Constant-initialized, so the macro
- * expansion carries no static-init guard on the hot path.
+ * through the site, so it is an atomic: concurrent first uses race
+ * benignly (registration is idempotent, both threads store the same
+ * id), and the release store publishes the registry entry behind the
+ * id to readers that acquire-load it. Constant-initialized, so the
+ * macro expansion carries no static-init guard on the hot path.
  */
 class SiteCache
 {
@@ -204,21 +204,17 @@ class SiteCache
     FuncId
     id(const char *name, FuncKind kind, bool is_virtual)
     {
-        std::uint64_t gen = FuncRegistry::instance().generation();
-        if (gen_.load(std::memory_order_acquire) != gen) {
-            FuncId fresh =
-                FuncRegistry::instance().lookup(name, kind,
-                                                is_virtual);
-            id_.store(fresh, std::memory_order_relaxed);
-            gen_.store(gen, std::memory_order_release);
-            return fresh;
+        FuncId cached = id_.load(std::memory_order_acquire);
+        if (cached == invalidFuncId) {
+            cached = FuncRegistry::instance().lookup(name, kind,
+                                                     is_virtual);
+            id_.store(cached, std::memory_order_release);
         }
-        return id_.load(std::memory_order_relaxed);
+        return cached;
     }
 
   private:
     std::atomic<FuncId> id_{invalidFuncId};
-    std::atomic<std::uint64_t> gen_{0};
 };
 
 /**
@@ -235,21 +231,16 @@ class KeyedSiteCache
     id(const char *name, FuncKind kind, bool is_virtual,
        std::uint32_t key)
     {
-        auto &reg = FuncRegistry::instance();
-        if (gen_ != reg.generation()) {
-            ids_.clear();
-            gen_ = reg.generation();
-        }
         if (key >= ids_.size())
             ids_.resize(key + 1, invalidFuncId);
         if (ids_[key] == invalidFuncId)
-            ids_[key] = reg.lookupKeyed(name, kind, key + 1, is_virtual);
+            ids_[key] = FuncRegistry::instance().lookupKeyed(
+                name, kind, key + 1, is_virtual);
         return ids_[key];
     }
 
   private:
     std::vector<FuncId> ids_;
-    std::uint64_t gen_ = 0;
 };
 
 inline ScopeGuard::ScopeGuard(SiteCache &cache, const char *name,

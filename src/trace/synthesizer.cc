@@ -298,10 +298,10 @@ Synthesizer::funcEnter(FuncId id)
             // target observed at the site rotates over a small
             // receiver set and re-trains the indirect entry between
             // consecutive scoped entries — the megamorphic-site cost
-            // the paper pins on gem5's event loop, and exactly what
-            // the kind-table dispatch (isVirtual false) removes. The
-            // rotated targets are predictor-visible only; fetch
-            // follows op pcs, so the instruction stream is unchanged.
+            // the paper pins on gem5's event loop, and mg5's
+            // serviceTop makes the same call. The rotated targets are
+            // predictor-visible only; fetch follows op pcs, so the
+            // instruction stream is unchanged.
             call_pc = caller.entry +
                 (ccode.structSeed %
                  (ccode.executedBytes > 8 ? ccode.executedBytes - 8

@@ -282,11 +282,14 @@ TEST(Profiler, AttributesEveryServicedEvent)
     EXPECT_FALSE(prof.eventClasses().empty());
 
     // Counts are exact: every serviced event lands in exactly one
-    // class, and all attributed wall time is non-negative.
+    // class, and all attributed wall time is non-negative. No class
+    // keeps Event's default name, which no SimObject could be
+    // charged for.
     std::uint64_t total = 0;
     for (const auto &cls : prof.eventClasses()) {
         total += cls.count;
         EXPECT_GE(cls.wallNs, 0.0) << cls.name;
+        EXPECT_NE(cls.name, "event") << cls.count << " unnamed events";
         if (!cls.owner.empty())
             EXPECT_EQ(cls.owner + "." + cls.type, cls.name);
         else

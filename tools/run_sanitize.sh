@@ -88,16 +88,15 @@ if [ "$#" -gt 0 ]; then
     ctest --preset sanitize -R '^(AddrTable|PacketPool|PooledCheckpoint|PoolDrain|GoldenWorkloads)'
 fi
 
-# Dispatch pass: the PR 9 kind table is read through relaxed atomics
-# on the hottest path in the tree, the event kind byte lives in tail
-# padding, and the THP arenas hand out mmap-backed slabs that the
-# event pool and decode cache carve up manually — all prime ASan/
-# UBSan territory. The table suite includes the kind-0 slot's
-# virtual call, and FrontendDispatchGate runs two profiled
-# simulations through the modeled Top-Down legs.
+# Front-end pass: the THP arenas hand out mmap-backed slabs that the
+# event pool and decode cache carve up manually — prime ASan/UBSan
+# territory — and FrontendDispatchGate runs two profiled simulations
+# (hot layout and THP text off, then on) through the modeled Top-Down
+# legs. The pattern also picks up Recorder.DispatchesToConsumers, the
+# trace fan-out those runs feed.
 if [ "$#" -gt 0 ]; then
-    echo "== ctest dispatch suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(EventDispatchTable|FrontendDispatchGate)|Dispatch'
+    echo "== ctest front-end suite (preset: sanitize) =="
+    ctest --preset sanitize -R 'Dispatch'
 fi
 
 # Sweep-service pass: the chaos suite walks the crash/retry/eviction
@@ -135,9 +134,9 @@ if [ "${G5P_SKIP_TSAN:-0}" != "1" ]; then
     # so the protocol paths must also be clean under TSan. The sweep
     # service dispatches batches onto the same pool (and its commit
     # loop reads outcomes the workers wrote), so its suites ride
-    # along too. The dispatch suites join because the kind table is
-    # the one structure registered by any thread and read by all
-    # service loops — exactly the publish/read edge TSan checks.
+    # along too. FrontendDispatchGate (matched by `Dispatch`) joins
+    # because its profiled runs hand the op stream to the host model
+    # on a second thread.
     echo "== ctest parallel suites (preset: tsan) =="
     # The timing-path suites join because the packet pool and THP
     # arenas are thread-local by design — TSan proves no state leaks
