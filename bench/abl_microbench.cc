@@ -123,7 +123,7 @@ BM_HostCacheAccess(benchmark::State &state)
     Rng rng(11);
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            cache.access(rng.below(1 << 20), false));
+            cache.access(rng.below(1 << 20)));
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HostCacheAccess);

@@ -31,14 +31,14 @@ main(int argc, char **argv)
         cfg.cpuModel = model;
         cfg.platform = host::xeonConfig();
         const auto &run = cache.get(cfg);
-        const auto &cdf = run.functionCdf;
+        const auto &profile = run.functionProfile;
         table.addRow({os::cpuModelName(model),
                       std::to_string(run.distinctFunctions),
-                      fmtPercent(cdf.hottestShare()),
-                      fmtPercent(cdf.cumulativeShare(5)),
-                      fmtPercent(cdf.cumulativeShare(10)),
-                      fmtPercent(cdf.cumulativeShare(25)),
-                      fmtPercent(cdf.cumulativeShare(50))});
+                      fmtPercent(profile.hottestShare()),
+                      fmtPercent(profile.cumulativeShare(5)),
+                      fmtPercent(profile.cumulativeShare(10)),
+                      fmtPercent(profile.cumulativeShare(25)),
+                      fmtPercent(profile.cumulativeShare(50))});
     }
 
     if (opts.csv)
@@ -52,7 +52,7 @@ main(int argc, char **argv)
     cfg.workload = "water_nsquared";
     cfg.cpuModel = os::CpuModel::O3;
     cfg.platform = host::xeonConfig();
-    const auto &ranked = cache.get(cfg).functionCdf.ranked();
+    const auto &ranked = cache.get(cfg).functionProfile.rows;
     os << "\nHottest O3 functions:\n";
     for (std::size_t i = 0; i < 8 && i < ranked.size(); ++i) {
         os << "  " << padLeft(fmtPercent(ranked[i].share), 7) << "  "

@@ -241,15 +241,13 @@ runMain(int argc, char **argv)
 
     // The paper's modeled view and (optionally) the real measured
     // view report through the same ranked-share pipeline.
-    core::HostProfile modeled =
-        core::hostProfileFromCdf(r.functionCdf);
     core::printHostProfile(
         std::cout,
         "hottest simulator functions (modeled, " +
             std::to_string(r.distinctFunctions) + " total)",
-        modeled, 10);
+        r.functionProfile, 10);
     std::cout << "cumulative share of top 50: "
-              << fmtPercent(r.functionCdf.cumulativeShare(50))
+              << fmtPercent(r.functionProfile.cumulativeShare(50))
               << " (no killer function)\n";
 
     if (opts.profiling()) {

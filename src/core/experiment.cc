@@ -217,11 +217,11 @@ runProfiledSimulation(const RunConfig &config)
             probes ? 1.0 + (double)steps / (double)probes : 0.0;
     }
 
-    result.functionCdf = FunctionCdf::build(synth.selfOps());
+    result.functionProfile = hostProfileFromSelfOps(synth.selfOps());
     // All functions with self time, including the synthetic callees
     // each instrumented scope expands to (what a VTune function
     // profile of the whole binary would count).
-    result.distinctFunctions = result.functionCdf.size();
+    result.distinctFunctions = result.functionProfile.rows.size();
     return result;
 }
 

@@ -12,7 +12,7 @@
 
 #include <string>
 
-#include "core/func_profile.hh"
+#include "core/telemetry.hh"
 #include "host/corun.hh"
 #include "host/host_core.hh"
 #include "os/system.hh"
@@ -125,7 +125,7 @@ struct RunResult
 
     /** @{ Function profile (Fig. 15). */
     std::size_t distinctFunctions = 0;
-    FunctionCdf functionCdf;
+    HostProfile functionProfile; ///< hostProfileFromSelfOps()
     /** @} */
 
     /**

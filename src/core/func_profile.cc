@@ -1,7 +1,5 @@
 #include "core/func_profile.hh"
 
-#include <algorithm>
-
 namespace g5p::core
 {
 
@@ -22,55 +20,6 @@ FuncProfile::totalCalls() const
     for (auto c : calls_)
         total += c;
     return total;
-}
-
-FunctionCdf
-FunctionCdf::build(const std::vector<std::uint64_t> &self_ops)
-{
-    FunctionCdf cdf;
-    std::uint64_t total = 0;
-    for (auto ops : self_ops)
-        total += ops;
-    if (total == 0)
-        return cdf;
-
-    const auto &registry = trace::FuncRegistry::instance();
-    for (trace::FuncId id = 0; id < self_ops.size(); ++id) {
-        if (self_ops[id] == 0)
-            continue;
-        std::string name = id < registry.size()
-            ? registry.info(id).name
-            : "func#" + std::to_string(id);
-        cdf.ranked_.push_back(HotFunction{
-            name, self_ops[id],
-            (double)self_ops[id] / (double)total});
-    }
-    // Tie-break by name: std::sort is unstable and FuncId assignment
-    // order differs between serial and pooled runs (lazy registration
-    // interleaves across threads), so equal self-counts must order on
-    // a run-independent key for byte-identical reports.
-    std::sort(cdf.ranked_.begin(), cdf.ranked_.end(),
-              [](const HotFunction &a, const HotFunction &b) {
-                  if (a.selfOps != b.selfOps)
-                      return a.selfOps > b.selfOps;
-                  return a.name < b.name;
-              });
-    return cdf;
-}
-
-double
-FunctionCdf::hottestShare() const
-{
-    return ranked_.empty() ? 0.0 : ranked_.front().share;
-}
-
-double
-FunctionCdf::cumulativeShare(std::size_t n) const
-{
-    double sum = 0;
-    for (std::size_t i = 0; i < n && i < ranked_.size(); ++i)
-        sum += ranked_[i].share;
-    return sum;
 }
 
 } // namespace g5p::core

@@ -1,15 +1,13 @@
 /**
  * @file
- * Function-level profiling (paper Fig. 15): counts calls and distinct
- * functions reached during a profiled simulation, and builds the
- * hot-function CDF from the synthesizer's per-function self
- * instruction counts.
+ * Function-level call counting: counts calls and distinct functions
+ * reached during a profiled simulation. The ranked Fig. 15 profile is
+ * core::HostProfile (core/telemetry.hh).
  */
 
 #ifndef G5P_CORE_FUNC_PROFILE_HH
 #define G5P_CORE_FUNC_PROFILE_HH
 
-#include <string>
 #include <vector>
 
 #include "trace/recorder.hh"
@@ -43,40 +41,6 @@ class FuncProfile : public trace::TraceConsumer
 
   private:
     std::vector<std::uint64_t> calls_;
-};
-
-/** One row of the hot-function table. */
-struct HotFunction
-{
-    std::string name;
-    std::uint64_t selfOps; ///< instructions attributed to the body
-    double share;          ///< fraction of all instructions
-};
-
-/**
- * Hot-function CDF built from per-function self instruction counts
- * (CPU time proxy, as VTune's self-time ranking).
- */
-class FunctionCdf
-{
-  public:
-    static FunctionCdf build(const std::vector<std::uint64_t>
-                                 &self_ops);
-
-    /** Functions sorted by descending share. */
-    const std::vector<HotFunction> &ranked() const { return ranked_; }
-
-    /** Share of the hottest function. */
-    double hottestShare() const;
-
-    /** Cumulative share of the @p n hottest functions. */
-    double cumulativeShare(std::size_t n) const;
-
-    /** Number of functions with nonzero time. */
-    std::size_t size() const { return ranked_.size(); }
-
-  private:
-    std::vector<HotFunction> ranked_;
 };
 
 } // namespace g5p::core

@@ -9,6 +9,7 @@
 #include "base/logging.hh"
 #include "base/str.hh"
 #include "core/report.hh"
+#include "trace/func_registry.hh"
 
 namespace g5p::core
 {
@@ -256,6 +257,28 @@ writeChromeTraceFile(const std::string &path,
     return true;
 }
 
+namespace
+{
+
+/**
+ * Sort by descending weight, ties by name: std::sort is unstable, and
+ * FuncId assignment order differs between serial and pooled runs (lazy
+ * registration interleaves across threads), so equal weights must
+ * order on a run-independent key for byte-identical reports.
+ */
+void
+rankRows(std::vector<HostProfileRow> &rows)
+{
+    std::sort(rows.begin(), rows.end(),
+              [](const HostProfileRow &a, const HostProfileRow &b) {
+                  if (a.weight != b.weight)
+                      return a.weight > b.weight;
+                  return a.name < b.name;
+              });
+}
+
+} // namespace
+
 double
 HostProfile::hottestShare() const
 {
@@ -286,23 +309,29 @@ hostProfileFromSelf(const sim::Profiler &profiler)
             {cls.name, cls.wallNs,
              total > 0 ? cls.wallNs / total : 0.0});
     }
-    std::sort(profile.rows.begin(), profile.rows.end(),
-              [](const HostProfileRow &a, const HostProfileRow &b) {
-                  if (a.weight != b.weight)
-                      return a.weight > b.weight;
-                  return a.name < b.name;
-              });
+    rankRows(profile.rows);
     return profile;
 }
 
 HostProfile
-hostProfileFromCdf(const FunctionCdf &cdf)
+hostProfileFromSelfOps(const std::vector<std::uint64_t> &self_ops)
 {
     HostProfile profile;
     profile.unit = "host insts";
-    for (const auto &fn : cdf.ranked())
-        profile.rows.push_back(
-            {fn.name, (double)fn.selfOps, fn.share});
+    std::uint64_t total = 0;
+    for (auto ops : self_ops)
+        total += ops;
+    const auto &registry = trace::FuncRegistry::instance();
+    for (trace::FuncId id = 0; id < self_ops.size(); ++id) {
+        if (self_ops[id] == 0)
+            continue;
+        std::string name = id < registry.size()
+            ? registry.info(id).name
+            : "func#" + std::to_string(id);
+        profile.rows.push_back({name, (double)self_ops[id],
+                                (double)self_ops[id] / (double)total});
+    }
+    rankRows(profile.rows);
     return profile;
 }
 

@@ -11,18 +11,18 @@
  *    models) become separate trace processes in one file.
  *
  *  - A unified host-profile table: the same ranked-share format for
- *    the paper's modeled hot-function CDF (core/func_profile, Fig 15)
- *    and a real self-profile, so both report through one pipeline.
+ *    the paper's modeled hot-function profile (Fig 15) and a real
+ *    self-profile, so both report through one pipeline.
  */
 
 #ifndef G5P_CORE_TELEMETRY_HH
 #define G5P_CORE_TELEMETRY_HH
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
-#include "core/func_profile.hh"
 #include "sim/profiler.hh"
 #include "sim/stats.hh"
 
@@ -82,8 +82,14 @@ struct HostProfile
 /** Real self-profile: event classes ranked by attributed wall time. */
 HostProfile hostProfileFromSelf(const sim::Profiler &profiler);
 
-/** Modeled profile: the Fig 15 hot-function CDF, same format. */
-HostProfile hostProfileFromCdf(const FunctionCdf &cdf);
+/**
+ * Modeled profile (Fig 15): functions ranked by the host instructions
+ * attributed to their own bodies, indexed by FuncId as
+ * trace::Synthesizer::selfOps() counts them. Equal counts order by
+ * name, so the ranking does not depend on FuncId assignment order.
+ */
+HostProfile hostProfileFromSelfOps(
+    const std::vector<std::uint64_t> &self_ops);
 
 /** Print the shared ranked-share table (top @p top rows). */
 void printHostProfile(std::ostream &os, const std::string &title,

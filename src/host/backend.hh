@@ -1,9 +1,9 @@
 /**
  * @file
  * Host back-end model: d-side TLB and L1, with L1 misses serviced by
- * the shared Uncore. Load-miss latencies are partially hidden by the
- * out-of-order engine; exposure factors per level come from the
- * platform config.
+ * the core's Uncore (shared with the front-end). Load-miss latencies
+ * are partially hidden by the out-of-order engine; exposure factors
+ * per level come from the platform config.
  */
 
 #ifndef G5P_HOST_BACKEND_HH
@@ -27,9 +27,6 @@ class BackendModel
     /** Account the memory/core costs of one op; inline below for
      *  the sink loop (HostCore::ops). */
     void onOpInline(const trace::HostOp &op, HostCounters &counters);
-
-    const HostCache &dcache() const { return dcache_; }
-    const HostTlb &dtlb() const { return dtlb_; }
 
   private:
     const HostPlatformConfig &config_;
@@ -65,11 +62,11 @@ BackendModel::onOpInline(const trace::HostOp &op,
     }
 
     ++counters.dcacheAccesses;
-    if (dcache_.access(op.dataAddr, is_store))
+    if (dcache_.access(op.dataAddr))
         return;
     ++counters.dcacheMisses;
 
-    auto mem = uncore_.access(op.dataAddr, is_store);
+    auto mem = uncore_.access(op.dataAddr);
     double exposed;
     switch (mem.level) {
       case Uncore::Level::L2:

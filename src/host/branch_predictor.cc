@@ -1,7 +1,5 @@
 #include "host/branch_predictor.hh"
 
-#include <algorithm>
-
 #include "base/addr_utils.hh"
 #include "base/logging.hh"
 
@@ -31,7 +29,6 @@ HostBranchPredictor::HostBranchPredictor(
 BranchResolution
 HostBranchPredictor::resolve(const trace::HostOp &op)
 {
-    ++branches_;
     BranchResolution res;
 
     // The RAS is circular: overflow overwrites the oldest entry, as
@@ -49,11 +46,7 @@ HostBranchPredictor::resolve(const trace::HostOp &op)
     };
 
     if (op.isReturn) {
-        if (ras_pop() != op.target) {
-            res.mispredicted = true;
-            ++mispredicts_;
-            ++mispRet_;
-        }
+        res.mispredicted = ras_pop() != op.target;
         return res;
     }
 
@@ -63,13 +56,8 @@ HostBranchPredictor::resolve(const trace::HostOp &op)
         // the paper's "abundance of virtual functions" cost.
         std::size_t idx = (op.pc >> 1) & indirectMask_;
         BtbEntry &entry = indirect_[idx];
-        bool correct = entry.valid && entry.pc == op.pc &&
-                       entry.target == op.target;
-        if (!correct) {
-            res.mispredicted = true;
-            ++mispredicts_;
-            ++mispInd_;
-        }
+        res.mispredicted = !(entry.valid && entry.pc == op.pc &&
+                             entry.target == op.target);
         entry.valid = true;
         entry.pc = op.pc;
         entry.target = op.target;
@@ -82,10 +70,7 @@ HostBranchPredictor::resolve(const trace::HostOp &op)
         // Direct call: always taken; needs a BTB target at fetch.
         std::size_t idx = (op.pc >> 1) & btbMask_;
         BtbEntry &entry = btb_[idx];
-        if (!(entry.valid && entry.pc == op.pc)) {
-            res.unknownBranch = true;
-            ++unknown_;
-        }
+        res.unknownBranch = !(entry.valid && entry.pc == op.pc);
         entry.valid = true;
         entry.pc = op.pc;
         entry.target = op.target;
@@ -98,16 +83,11 @@ HostBranchPredictor::resolve(const trace::HostOp &op)
     bool pred_taken = ctr >= 2;
     if (pred_taken != op.taken) {
         res.mispredicted = true;
-        ++mispredicts_;
-        ++mispCond_;
     } else if (op.taken) {
         std::size_t idx = (op.pc >> 1) & btbMask_;
-        BtbEntry &entry = btb_[idx];
-        if (!(entry.valid && entry.pc == op.pc &&
-              entry.target == op.target)) {
-            res.unknownBranch = true;
-            ++unknown_;
-        }
+        const BtbEntry &entry = btb_[idx];
+        res.unknownBranch = !(entry.valid && entry.pc == op.pc &&
+                              entry.target == op.target);
     }
 
     // Train.
@@ -119,22 +99,7 @@ HostBranchPredictor::resolve(const trace::HostOp &op)
         std::size_t idx = (op.pc >> 1) & btbMask_;
         btb_[idx] = BtbEntry{op.pc, op.target, true};
     }
-    history_ = ((history_ << 1) | (op.taken ? 1 : 0)) & 0xffffff;
-
     return res;
-}
-
-void
-HostBranchPredictor::reset()
-{
-    std::fill(counters_.begin(), counters_.end(), 1);
-    for (auto &entry : btb_)
-        entry.valid = false;
-    for (auto &entry : indirect_)
-        entry.valid = false;
-    rasTop_ = 0;
-    history_ = 0;
-    branches_ = mispredicts_ = unknown_ = 0;
 }
 
 } // namespace g5p::host

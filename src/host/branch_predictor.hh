@@ -47,23 +47,6 @@ class HostBranchPredictor
      */
     BranchResolution resolve(const trace::HostOp &op);
 
-    /** @{ Counters. */
-    std::uint64_t branches() const { return branches_; }
-    std::uint64_t mispredicts() const { return mispredicts_; }
-    std::uint64_t unknownBranches() const { return unknown_; }
-    std::uint64_t condMispredicts() const { return mispCond_; }
-    std::uint64_t indirectMispredicts() const { return mispInd_; }
-    std::uint64_t returnMispredicts() const { return mispRet_; }
-    double
-    mispredictRate() const
-    {
-        return branches_ ? (double)mispredicts_ / (double)branches_
-                         : 0.0;
-    }
-    /** @} */
-
-    void reset();
-
   private:
     struct BtbEntry
     {
@@ -86,14 +69,6 @@ class HostBranchPredictor
     std::vector<BtbEntry> indirect_;
     std::vector<HostAddr> ras_;
     std::size_t rasTop_ = 0;
-    std::uint64_t history_ = 0;
-
-    std::uint64_t branches_ = 0;
-    std::uint64_t mispredicts_ = 0;
-    std::uint64_t unknown_ = 0;
-    std::uint64_t mispCond_ = 0;
-    std::uint64_t mispInd_ = 0;
-    std::uint64_t mispRet_ = 0;
 };
 
 inline std::size_t

@@ -6,44 +6,23 @@
 namespace g5p::host
 {
 
+namespace
+{
+
+unsigned
+lineShift(unsigned line_bytes)
+{
+    g5p_assert(isPowerOf2(line_bytes),
+               "line size must be a power of two (%u)", line_bytes);
+    return floorLog2(line_bytes);
+}
+
+} // namespace
+
 HostCache::HostCache(const HostCacheGeometry &geometry)
-    : geometry_(geometry)
+    : lineShift_(lineShift(geometry.lineBytes)),
+      tags_(geometry.numSets(), geometry.assoc, "host cache")
 {
-    g5p_assert(isPowerOf2(geometry.lineBytes),
-               "line size must be a power of two");
-    std::uint64_t sets = geometry.numSets();
-    g5p_assert(sets > 0 && isPowerOf2(sets),
-               "host cache sets (%llu) must be a power of two "
-               "(size %llu, assoc %u, line %u)",
-               (unsigned long long)sets,
-               (unsigned long long)geometry.sizeBytes, geometry.assoc,
-               geometry.lineBytes);
-    setShift_ = floorLog2(geometry.lineBytes);
-    setMask_ = sets - 1;
-    tagShift_ = floorLog2(sets);
-    lines_.resize(sets * geometry.assoc);
-}
-
-bool
-HostCache::contains(HostAddr addr) const
-{
-    std::uint64_t line_no = addr >> setShift_;
-    std::uint64_t set = line_no & setMask_;
-    std::uint64_t tag = line_no >> tagShift_;
-    const Line *base = &lines_[set * geometry_.assoc];
-    for (unsigned w = 0; w < geometry_.assoc; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
-}
-
-void
-HostCache::reset()
-{
-    for (auto &line : lines_)
-        line.valid = false;
-    hits_ = misses_ = validLines_ = 0;
-    lruCounter_ = 0;
 }
 
 } // namespace g5p::host

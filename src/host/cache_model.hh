@@ -11,9 +11,9 @@
 #define G5P_HOST_CACHE_MODEL_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "base/types.hh"
+#include "host/tag_store.hh"
 
 namespace g5p::host
 {
@@ -34,95 +34,39 @@ class HostCache
   public:
     explicit HostCache(const HostCacheGeometry &geometry);
 
-    /**
-     * Look up @p addr; allocates on miss. @return hit.
-     *
-     * Defined inline below: this is the innermost step of the
-     * per-instruction model chain, and the batched sink loop
-     * (HostCore::ops) relies on the whole chain being visible for
-     * inlining.
-     */
-    bool access(HostAddr addr, bool is_write);
+    /** Look up @p addr; allocates on miss. @return hit. */
+    bool
+    access(HostAddr addr)
+    {
+        std::uint64_t line = addr >> lineShift_;
+        return tags_.access(tags_.setOf(line), tags_.tagOf(line));
+    }
 
     /** Look up without allocating (probes). */
-    bool contains(HostAddr addr) const;
-
-    /** @{ Counters. */
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-    double
-    missRate() const
+    bool
+    contains(HostAddr addr) const
     {
-        std::uint64_t total = hits_ + misses_;
-        return total ? (double)misses_ / (double)total : 0.0;
+        std::uint64_t line = addr >> lineShift_;
+        return tags_.contains(tags_.setOf(line), tags_.tagOf(line));
     }
-    /** @} */
+
+    std::uint64_t hits() const { return tags_.hits(); }
+    std::uint64_t misses() const { return tags_.misses(); }
 
     /** Currently valid lines (occupancy, Fig. 9). */
-    std::uint64_t validLines() const { return validLines_; }
+    std::uint64_t validLines() const { return tags_.validEntries(); }
 
     /** Occupied bytes. */
     std::uint64_t
     occupancyBytes() const
     {
-        return validLines_ * geometry_.lineBytes;
+        return validLines() << lineShift_;
     }
-
-    const HostCacheGeometry &geometry() const { return geometry_; }
-
-    void reset();
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        std::uint64_t lastUsed = 0;
-    };
-
-    HostCacheGeometry geometry_;
-    unsigned setShift_;
-    unsigned tagShift_ = 0;
-    std::uint64_t setMask_;
-    std::vector<Line> lines_;
-    std::uint64_t lruCounter_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t validLines_ = 0;
+    unsigned lineShift_;
+    TagStore tags_;
 };
-
-inline bool
-HostCache::access(HostAddr addr, bool is_write)
-{
-    std::uint64_t line_no = addr >> setShift_;
-    std::uint64_t set = line_no & setMask_;
-    std::uint64_t tag = line_no >> tagShift_;
-
-    Line *base = &lines_[set * geometry_.assoc];
-    Line *victim = base;
-    for (unsigned w = 0; w < geometry_.assoc; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lastUsed = ++lruCounter_;
-            ++hits_;
-            return true;
-        }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid &&
-                   line.lastUsed < victim->lastUsed) {
-            victim = &line;
-        }
-    }
-
-    ++misses_;
-    if (!victim->valid)
-        ++validLines_;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUsed = ++lruCounter_;
-    return false;
-}
 
 } // namespace g5p::host
 

@@ -101,9 +101,6 @@ struct HostCounters
         return total ? (double)uopsFromDsb / (double)total : 0.0;
     }
     /** @} */
-
-    /** Merge another run's counters (co-run aggregation). */
-    void add(const HostCounters &other);
 };
 
 /** Top-Down level-1/level-2 fractions (of total slots). */

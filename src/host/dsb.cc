@@ -1,30 +1,14 @@
 #include "host/dsb.hh"
 
-#include "base/addr_utils.hh"
-#include "base/logging.hh"
-
 namespace g5p::host
 {
 
 DsbModel::DsbModel(const DsbGeometry &geometry)
-    : geometry_(geometry)
+    : ineligiblePct_(geometry.ineligiblePct)
 {
-    if (!enabled())
-        return;
-    numSets_ = geometry.windows / geometry.assoc;
-    g5p_assert(numSets_ > 0 && isPowerOf2(numSets_),
-               "DSB sets must be a power of two");
-    tagShift_ = floorLog2(numSets_);
-    entries_.resize(geometry.windows);
-}
-
-void
-DsbModel::reset()
-{
-    for (auto &entry : entries_)
-        entry.valid = false;
-    hits_ = misses_ = 0;
-    lruCounter_ = 0;
+    if (geometry.windows > 0)
+        tags_.emplace(geometry.windows / geometry.assoc, geometry.assoc,
+                      "DSB");
 }
 
 } // namespace g5p::host

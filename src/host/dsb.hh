@@ -15,9 +15,10 @@
 #ifndef G5P_HOST_DSB_HH
 #define G5P_HOST_DSB_HH
 
-#include <vector>
+#include <optional>
 
 #include "base/types.hh"
+#include "host/tag_store.hh"
 
 namespace g5p::host
 {
@@ -51,72 +52,37 @@ class DsbModel
      */
     bool access(HostAddr pc);
 
-    bool enabled() const { return geometry_.windows > 0; }
+    bool enabled() const { return tags_.has_value(); }
 
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
+    std::uint64_t hits() const { return tags_ ? tags_->hits() : 0; }
 
-    void reset();
+    std::uint64_t
+    misses() const
+    {
+        return rejected_ + (tags_ ? tags_->misses() : 0);
+    }
 
   private:
-    struct Entry
-    {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        std::uint64_t lastUsed = 0;
-    };
-
-    DsbGeometry geometry_;
-    unsigned numSets_ = 0;
-    unsigned tagShift_ = 0;
-    std::vector<Entry> entries_;
-    std::uint64_t lruCounter_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    unsigned ineligiblePct_;
+    /** Lookups that never reach the array: no µop cache, or a window
+     *  the DSB cannot hold. */
+    std::uint64_t rejected_ = 0;
+    /** Empty on machines without a µop cache. */
+    std::optional<TagStore> tags_;
 };
 
 inline bool
 DsbModel::access(HostAddr pc)
 {
-    if (!enabled()) {
-        ++misses_;
-        return false;
-    }
-
     std::uint64_t window = pc / windowBytes;
 
     // Per-window eligibility is a fixed property of the code.
     std::uint64_t h = window * 0x9e3779b97f4a7c15ULL;
-    if ((h >> 33) % 100 < geometry_.ineligiblePct) {
-        ++misses_;
+    if (!tags_ || (h >> 33) % 100 < ineligiblePct_) {
+        ++rejected_;
         return false;
     }
-
-    std::uint64_t set = window & (numSets_ - 1);
-    std::uint64_t tag = window >> tagShift_;
-
-    Entry *base = &entries_[set * geometry_.assoc];
-    Entry *victim = base;
-    for (unsigned w = 0; w < geometry_.assoc; ++w) {
-        Entry &entry = base[w];
-        if (entry.valid && entry.tag == tag) {
-            entry.lastUsed = ++lruCounter_;
-            ++hits_;
-            return true;
-        }
-        if (!entry.valid) {
-            victim = &entry;
-        } else if (victim->valid &&
-                   entry.lastUsed < victim->lastUsed) {
-            victim = &entry;
-        }
-    }
-
-    ++misses_;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUsed = ++lruCounter_;
-    return false;
+    return tags_->access(tags_->setOf(window), tags_->tagOf(window));
 }
 
 } // namespace g5p::host

@@ -26,7 +26,8 @@ class FrontendModel
      * @param config platform parameters
      * @param policy page-size policy (owned by the caller; encodes
      *        THP/EHP code-backing decisions)
-     * @param uncore shared L2/LLC/DRAM for i-side misses
+     * @param uncore the core's L2/LLC/DRAM (shared with the back-end)
+     *        for i-side misses
      */
     FrontendModel(const HostPlatformConfig &config,
                   const PageSizePolicy &policy, Uncore &uncore);
@@ -39,11 +40,6 @@ class FrontendModel
      * in registers across ops.
      */
     void onOpInline(const trace::HostOp &op, HostCounters &counters);
-
-    const HostCache &icache() const { return icache_; }
-    const HostTlb &itlb() const { return itlb_; }
-    const HostBranchPredictor &bpred() const { return bpred_; }
-    const DsbModel &dsb() const { return dsb_; }
 
   private:
     const HostPlatformConfig &config_;
@@ -87,9 +83,9 @@ FrontendModel::onOpInline(const trace::HostOp &op,
     if (line != lastLine_) {
         lastLine_ = line;
         ++counters.icacheAccesses;
-        if (!icache_.access(op.pc, false)) {
+        if (!icache_.access(op.pc)) {
             ++counters.icacheMisses;
-            auto mem = uncore_.access(op.pc, false);
+            auto mem = uncore_.access(op.pc);
             // The fetch queue and next-line prefetch hide part of an
             // ifetch miss; the exposed fraction starves the decoder.
             counters.feLatIcacheCycles +=

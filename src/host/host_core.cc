@@ -6,28 +6,23 @@ namespace g5p::host
 HostCore::HostCore(const HostPlatformConfig &config,
                    const PageSizePolicy &policy)
     : config_(config),
-      uncore_(std::make_unique<Uncore>(config_)),
-      frontend_(std::make_unique<FrontendModel>(config_, policy,
-                                                *uncore_)),
-      backend_(std::make_unique<BackendModel>(config_, policy,
-                                              *uncore_))
+      uncore_(config_),
+      frontend_(config_, policy, uncore_),
+      backend_(config_, policy, uncore_)
 {
     for (std::size_t u = 0; u < uopCycles_.size(); ++u)
         uopCycles_[u] = (double)u / (double)config_.dispatchWidth;
 }
-
-HostCore::~HostCore() = default;
 
 void
 HostCore::ops(const trace::HostOp *batch, std::size_t count)
 {
     // onOpInline is visible here, so the whole model chain
     // (front-end, back-end, caches, TLBs, DSB, predictor, uncore)
-    // fuses into this one loop with the model pointers hoisted out
-    // of it: no per-op calls at all.
+    // fuses into this one loop: no per-op calls at all.
     HostCounters &counters = counters_;
-    FrontendModel &frontend = *frontend_;
-    BackendModel &backend = *backend_;
+    FrontendModel &frontend = frontend_;
+    BackendModel &backend = backend_;
     const double *uop_cycles = uopCycles_.data();
     for (std::size_t i = 0; i < count; ++i) {
         const trace::HostOp &op = batch[i];
@@ -43,10 +38,10 @@ HostCounters
 HostCore::counters() const
 {
     HostCounters out = counters_;
-    out.l2Misses = uncore_->l2Misses();
-    out.llcMisses = uncore_->llcMisses();
-    out.dramBytes = uncore_->dramBytes();
-    out.llcOccupancyBytes = uncore_->llcOccupancyPeakBytes();
+    out.l2Misses = uncore_.l2Misses();
+    out.llcMisses = uncore_.llcMisses();
+    out.dramBytes = uncore_.dramBytes();
+    out.llcOccupancyBytes = uncore_.llcOccupancyPeakBytes();
     return out;
 }
 
@@ -54,44 +49,6 @@ TopdownBreakdown
 HostCore::topdown() const
 {
     return computeTopdown(counters(), config_.dispatchWidth);
-}
-
-void
-HostCounters::add(const HostCounters &other)
-{
-    insts += other.insts;
-    uops += other.uops;
-    loads += other.loads;
-    stores += other.stores;
-    branches += other.branches;
-    baseCycles += other.baseCycles;
-    feLatIcacheCycles += other.feLatIcacheCycles;
-    feLatItlbCycles += other.feLatItlbCycles;
-    feLatMispredictCycles += other.feLatMispredictCycles;
-    feLatUnknownCycles += other.feLatUnknownCycles;
-    feLatClearCycles += other.feLatClearCycles;
-    feBwMiteCycles += other.feBwMiteCycles;
-    feBwDsbCycles += other.feBwDsbCycles;
-    badSpecCycles += other.badSpecCycles;
-    beMemCycles += other.beMemCycles;
-    beCoreCycles += other.beCoreCycles;
-    icacheAccesses += other.icacheAccesses;
-    icacheMisses += other.icacheMisses;
-    dcacheAccesses += other.dcacheAccesses;
-    dcacheMisses += other.dcacheMisses;
-    itlbAccesses += other.itlbAccesses;
-    itlbMisses += other.itlbMisses;
-    dtlbAccesses += other.dtlbAccesses;
-    dtlbMisses += other.dtlbMisses;
-    l2Misses += other.l2Misses;
-    llcMisses += other.llcMisses;
-    mispredicts += other.mispredicts;
-    unknownBranches += other.unknownBranches;
-    uopsFromDsb += other.uopsFromDsb;
-    uopsFromMite += other.uopsFromMite;
-    dramBytes += other.dramBytes;
-    if (other.llcOccupancyBytes > llcOccupancyBytes)
-        llcOccupancyBytes = other.llcOccupancyBytes;
 }
 
 TopdownBreakdown

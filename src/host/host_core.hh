@@ -2,7 +2,7 @@
  * @file
  * HostCore: the complete host-CPU model. Consumes the synthesized
  * instruction stream (it is a HostInstSink), integrates the front-end
- * and back-end models over a shared uncore, and produces the
+ * and back-end models over the uncore they share, and produces the
  * HostCounters / Top-Down breakdown the paper's figures are built
  * from. One HostCore models one hardware context running one gem5
  * process, exactly the paper's measurement unit.
@@ -12,7 +12,6 @@
 #define G5P_HOST_HOST_CORE_HH
 
 #include <array>
-#include <memory>
 
 #include "host/backend.hh"
 #include "host/frontend.hh"
@@ -30,7 +29,10 @@ class HostCore : public trace::HostInstSink
      */
     HostCore(const HostPlatformConfig &config,
              const PageSizePolicy &policy);
-    ~HostCore() override;
+
+    /** The models hold references to config_ and uncore_. */
+    HostCore(const HostCore &) = delete;
+    HostCore &operator=(const HostCore &) = delete;
 
     /** HostInstSink: account one instruction (a one-op batch). */
     void op(const trace::HostOp &op) override { ops(&op, 1); }
@@ -58,24 +60,11 @@ class HostCore : public trace::HostInstSink
         return cycles() / config_.effectiveHz(turbo);
     }
 
-    /** DRAM bandwidth in GB/s over the modeled run. */
-    double
-    dramBandwidthGBs(bool turbo = false) const
-    {
-        double s = seconds(turbo);
-        return s > 0 ? (double)uncore_->dramBytes() / 1e9 / s : 0.0;
-    }
-
-    const HostPlatformConfig &config() const { return config_; }
-    const FrontendModel &frontend() const { return *frontend_; }
-    const BackendModel &backend() const { return *backend_; }
-    const Uncore &uncore() const { return *uncore_; }
-
   private:
     HostPlatformConfig config_;
-    std::unique_ptr<Uncore> uncore_;
-    std::unique_ptr<FrontendModel> frontend_;
-    std::unique_ptr<BackendModel> backend_;
+    Uncore uncore_;
+    FrontendModel frontend_;
+    BackendModel backend_;
     HostCounters counters_;
 
     /**

@@ -37,7 +37,6 @@ xeonConfig()
     cfg.hwThreads = 40;
     cfg.coresPerL2 = 1;
     cfg.coresPerLlc = 20;
-    cfg.smtCapable = true;
     cfg.memBwGBs = 141.0;
     return cfg;
 }
@@ -71,7 +70,6 @@ firestormCore()
     cfg.l2LatencyCycles = 16;
     cfg.llcLatencyCycles = 90;  // SLC is far but big
     cfg.memLatencyNs = 97;
-    cfg.smtCapable = false;
     return cfg;
 }
 
@@ -125,8 +123,7 @@ firesimConfig()
     cfg.icache = {48 * 1024, 12, 64}; // 64 sets (VIPT)
     cfg.dcache = {32 * 1024, 8, 64};
     cfg.l2 = {512 * 1024, 8, 64};
-    cfg.llc = {0, 1, 64};
-    cfg.hasLlc = false;
+    cfg.llc = {0, 1, 64};        // no L3
     cfg.itlb = {32, 4};
     cfg.dtlb = {32, 4};
     cfg.itlbWalkCycles = 40;
@@ -144,7 +141,6 @@ firesimConfig()
     cfg.hwThreads = 4;
     cfg.coresPerL2 = 4;
     cfg.coresPerLlc = 4;
-    cfg.smtCapable = false;
     cfg.memBwGBs = 12.8;
     return cfg;
 }

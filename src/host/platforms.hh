@@ -35,8 +35,7 @@ struct HostPlatformConfig
     HostCacheGeometry icache{32 * 1024, 8, 64};
     HostCacheGeometry dcache{32 * 1024, 8, 64};
     HostCacheGeometry l2{1024 * 1024, 16, 64};
-    HostCacheGeometry llc{36 * 1024 * 1024, 11, 64};
-    bool hasLlc = true;        ///< FireSim SoC has no L3
+    HostCacheGeometry llc{36 * 1024 * 1024, 11, 64}; ///< size 0: no L3
     /** @} */
 
     /** @{ TLBs. */
@@ -73,10 +72,9 @@ struct HostPlatformConfig
 
     /** @{ Chip topology (for co-run modeling). */
     unsigned physicalCores = 20;
-    unsigned hwThreads = 40;
+    unsigned hwThreads = 40;   ///< > physicalCores means SMT
     unsigned coresPerL2 = 1;   ///< cores sharing one L2
     unsigned coresPerLlc = 20; ///< cores sharing the LLC
-    bool smtCapable = true;
     double memBwGBs = 141.0;
     /** @} */
 

@@ -1,6 +1,5 @@
 #include "host/tlb_model.hh"
 
-#include "base/addr_utils.hh"
 #include "base/logging.hh"
 
 namespace g5p::host
@@ -20,24 +19,10 @@ PageSizePolicy::addHugeRegion(HostAddr start, HostAddr end,
 
 HostTlb::HostTlb(const HostTlbGeometry &geometry,
                  const PageSizePolicy *policy)
-    : geometry_(geometry),
-      policy_(policy),
-      numSets_(geometry.entries / geometry.assoc)
+    : policy_(policy),
+      tags_(geometry.entries / geometry.assoc, geometry.assoc, "TLB")
 {
     g5p_assert(policy_, "HostTlb needs a page-size policy");
-    g5p_assert(numSets_ > 0 && isPowerOf2(numSets_),
-               "TLB sets must be a power of two (%u entries / %u "
-               "ways)", geometry.entries, geometry.assoc);
-    entries_.resize(geometry.entries);
-}
-
-void
-HostTlb::reset()
-{
-    for (auto &entry : entries_)
-        entry.valid = false;
-    hits_ = misses_ = 0;
-    lruCounter_ = 0;
 }
 
 } // namespace g5p::host

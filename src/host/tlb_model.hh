@@ -12,10 +12,10 @@
 #ifndef G5P_HOST_TLB_MODEL_HH
 #define G5P_HOST_TLB_MODEL_HH
 
-#include <functional>
 #include <vector>
 
 #include "base/types.hh"
+#include "host/tag_store.hh"
 
 namespace g5p::host
 {
@@ -46,8 +46,6 @@ class PageSizePolicy
     /** Page bits for @p addr (base or hugePageBits for 2MB).
      *  Inline below: runs on every TLB lookup. */
     unsigned pageBits(HostAddr addr) const;
-
-    unsigned basePageBits() const { return basePageBits_; }
 
     /** log2 of a 2MB huge page. */
     static constexpr unsigned hugePageBits = 21;
@@ -81,33 +79,19 @@ class HostTlb
      *  Inline below so the batched sink loop can fuse it. */
     bool access(HostAddr addr);
 
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
+    std::uint64_t hits() const { return tags_.hits(); }
+    std::uint64_t misses() const { return tags_.misses(); }
 
     double
     missRate() const
     {
-        std::uint64_t total = hits_ + misses_;
-        return total ? (double)misses_ / (double)total : 0.0;
+        std::uint64_t total = hits() + misses();
+        return total ? (double)misses() / (double)total : 0.0;
     }
 
-    void reset();
-
   private:
-    struct Entry
-    {
-        std::uint64_t key = 0;
-        bool valid = false;
-        std::uint64_t lastUsed = 0;
-    };
-
-    HostTlbGeometry geometry_;
     const PageSizePolicy *policy_;
-    unsigned numSets_;
-    std::vector<Entry> entries_;
-    std::uint64_t lruCounter_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    TagStore tags_;
 };
 
 inline unsigned
@@ -135,33 +119,11 @@ inline bool
 HostTlb::access(HostAddr addr)
 {
     unsigned bits = policy_->pageBits(addr);
-    // Key: page number tagged with its size class so a 2MB entry is
-    // distinct from 4KB entries over the same range.
-    std::uint64_t key = ((addr >> bits) << 6) | bits;
-    std::uint64_t set = (key >> 6) & (numSets_ - 1);
-
-    Entry *base = &entries_[set * geometry_.assoc];
-    Entry *victim = base;
-    for (unsigned w = 0; w < geometry_.assoc; ++w) {
-        Entry &entry = base[w];
-        if (entry.valid && entry.key == key) {
-            entry.lastUsed = ++lruCounter_;
-            ++hits_;
-            return true;
-        }
-        if (!entry.valid) {
-            victim = &entry;
-        } else if (victim->valid &&
-                   entry.lastUsed < victim->lastUsed) {
-            victim = &entry;
-        }
-    }
-
-    ++misses_;
-    victim->valid = true;
-    victim->key = key;
-    victim->lastUsed = ++lruCounter_;
-    return false;
+    // Tag: the whole page number tagged with its size class, so a
+    // 2MB entry is distinct from 4KB entries over the same range. The
+    // set comes from the page number alone.
+    std::uint64_t page = addr >> bits;
+    return tags_.access(tags_.setOf(page), (page << 6) | bits);
 }
 
 } // namespace g5p::host

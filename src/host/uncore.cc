@@ -6,18 +6,18 @@ namespace g5p::host
 Uncore::Uncore(const HostPlatformConfig &config)
     : config_(config), l2_(config.l2)
 {
-    if (config.hasLlc && config.llc.sizeBytes > 0)
-        llc_ = std::make_unique<HostCache>(config.llc);
+    if (config.llc.sizeBytes > 0)
+        llc_.emplace(config.llc);
 }
 
 Uncore::MemResult
-Uncore::access(HostAddr addr, bool is_write)
+Uncore::access(HostAddr addr)
 {
-    if (l2_.access(addr, is_write))
+    if (l2_.access(addr))
         return {Level::L2, config_.l2LatencyCycles};
 
     if (llc_) {
-        bool hit = llc_->access(addr, is_write);
+        bool hit = llc_->access(addr);
         if (llc_->occupancyBytes() > llcOccupancyPeak_)
             llcOccupancyPeak_ = llc_->occupancyBytes();
         if (hit)
@@ -26,16 +26,6 @@ Uncore::access(HostAddr addr, bool is_write)
 
     dramBytes_ += config_.lineBytes;
     return {Level::Memory, config_.memLatencyCycles()};
-}
-
-void
-Uncore::reset()
-{
-    l2_.reset();
-    if (llc_)
-        llc_->reset();
-    dramBytes_ = 0;
-    llcOccupancyPeak_ = 0;
 }
 
 } // namespace g5p::host

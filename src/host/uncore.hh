@@ -1,14 +1,15 @@
 /**
  * @file
- * Shared uncore: L2, LLC, and the DRAM channel. One Uncore may be
- * shared by several HostCores' L1-miss streams (co-run modeling), or
- * dedicated to a single profiled process.
+ * Uncore: L2, LLC, and the DRAM channel behind one HostCore's L1
+ * misses. Every HostCore owns its own; co-run contention is modeled
+ * by partitioning the shared levels in the platform config
+ * (host/corun.cc), not by sharing an Uncore.
  */
 
 #ifndef G5P_HOST_UNCORE_HH
 #define G5P_HOST_UNCORE_HH
 
-#include <memory>
+#include <optional>
 
 #include "host/cache_model.hh"
 #include "host/platforms.hh"
@@ -33,7 +34,7 @@ class Uncore
     /** Service one L1 miss. Out-of-line on purpose: L1 misses are
      *  the cold path, and keeping this out of the batched sink loop
      *  keeps that loop compact. */
-    MemResult access(HostAddr addr, bool is_write);
+    MemResult access(HostAddr addr);
 
     /** @{ Counters. */
     std::uint64_t l2Misses() const { return l2_.misses(); }
@@ -49,15 +50,11 @@ class Uncore
     { return llcOccupancyPeak_; }
     /** @} */
 
-    const HostCache &l2() const { return l2_; }
-    const HostCache *llc() const { return llc_.get(); }
-
-    void reset();
-
   private:
     const HostPlatformConfig config_;
     HostCache l2_;
-    std::unique_ptr<HostCache> llc_;
+    /** Empty on machines without an LLC (llc.sizeBytes == 0). */
+    std::optional<HostCache> llc_;
     std::uint64_t dramBytes_ = 0;
     std::uint64_t llcOccupancyPeak_ = 0;
 };

@@ -8,41 +8,38 @@ namespace g5p::trace
 const CodegenParams &
 codegenParams(FuncKind kind)
 {
-    // meanCodeBytes / executedFraction / instsPerBranch /
-    // condTakenProb / stackRefsPerBurst / uopsPerInst
-    //
     // Sizes follow the footprint hierarchy of gem5's subsystems: the
     // detailed CPU stage bodies and the cache access paths are the
     // big, branchy functions; stats and helpers are small. Virtual
     // dispatch density is carried per call site (FuncInfo::isVirtual).
-    // size / executed / insts-per-branch / taken / stack / uops /
+    // size / executed / insts-per-branch / stack / uops /
     // subFuncs / childCallsPer100 / virtualChildFrac
     static const CodegenParams table[] = {
-        /* EventLoop    */ {448, 0.55, 5.0, 0.35, 1.0, 1.10,
+        /* EventLoop    */ {448, 0.55, 5.0, 1.0, 1.10,
                             72, 6.0, 0.30},
-        /* EventHandler */ {544, 0.55, 5.0, 0.35, 1.5, 1.10,
+        /* EventHandler */ {544, 0.55, 5.0, 1.5, 1.10,
                             96, 6.5, 0.40},
-        /* CpuSimple    */ {576, 0.50, 5.5, 0.35, 2.0, 1.10,
+        /* CpuSimple    */ {576, 0.50, 5.5, 2.0, 1.10,
                             28, 5.0, 0.40},
-        /* CpuDetailed  */ {896, 0.48, 4.5, 0.38, 2.5, 1.12,
+        /* CpuDetailed  */ {896, 0.48, 4.5, 2.5, 1.12,
                             64, 5.0, 0.50},
-        /* InstExecute  */ {288, 0.50, 5.5, 0.30, 1.5, 1.10,
+        /* InstExecute  */ {288, 0.50, 5.5, 1.5, 1.10,
                             6, 2.0, 0.35},
-        /* Decode       */ {480, 0.45, 4.0, 0.40, 1.0, 1.08,
+        /* Decode       */ {480, 0.45, 4.0, 1.0, 1.08,
                             18, 3.5, 0.30},
-        /* MemAccess    */ {704, 0.48, 4.5, 0.38, 2.0, 1.10,
+        /* MemAccess    */ {704, 0.48, 4.5, 2.0, 1.10,
                             72, 5.5, 0.45},
-        /* MemAtomic    */ {448, 0.48, 4.5, 0.38, 2.0, 1.10,
+        /* MemAtomic    */ {448, 0.48, 4.5, 2.0, 1.10,
                             12, 4.0, 0.40},
-        /* TlbWalk      */ {416, 0.48, 5.0, 0.35, 1.5, 1.10,
+        /* TlbWalk      */ {416, 0.48, 5.0, 1.5, 1.10,
                             16, 3.5, 0.35},
-        /* Syscall      */ {640, 0.50, 5.0, 0.35, 2.0, 1.10,
+        /* Syscall      */ {640, 0.50, 5.0, 2.0, 1.10,
                             36, 4.5, 0.35},
-        /* KernelSim    */ {576, 0.50, 4.5, 0.38, 2.0, 1.10,
+        /* KernelSim    */ {576, 0.50, 4.5, 2.0, 1.10,
                             44, 4.5, 0.40},
-        /* Stats        */ {208, 0.70, 6.0, 0.30, 1.0, 1.05,
+        /* Stats        */ {208, 0.70, 6.0, 1.0, 1.05,
                             14, 2.5, 0.20},
-        /* Util         */ {160, 0.70, 6.5, 0.25, 0.5, 1.05,
+        /* Util         */ {160, 0.70, 6.5, 0.5, 1.05,
                             8, 1.5, 0.20},
     };
     static_assert(sizeof(table) / sizeof(table[0]) ==
@@ -73,7 +70,7 @@ CodeLayout::place(FuncId id)
     // flags change placement, not machine-code sizes).
     Rng rng(Rng::hashString(info.name.c_str()));
     double jitter = 0.5 + rng.uniform(); // [0.5, 1.5)
-    double bytes = params.meanCodeBytes * jitter * options_.sizeScale;
+    double bytes = params.meanCodeBytes * jitter;
     auto size = (std::uint32_t)bytes;
     if (size < 32)
         size = 32;

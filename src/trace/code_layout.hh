@@ -37,7 +37,6 @@ struct CodegenParams
     double meanCodeBytes;    ///< average function size
     double executedFraction; ///< fraction of the body run per call
     double instsPerBranch;   ///< branch density
-    double condTakenProb;    ///< forward-branch taken probability
     double stackRefsPerBurst;///< spill/local refs between events
     double uopsPerInst;      ///< x86 micro-op expansion
 
@@ -60,9 +59,6 @@ const CodegenParams &codegenParams(FuncKind kind);
 /** Layout knobs (build-configuration dependent). */
 struct LayoutOptions
 {
-    /** Multiplier on code sizes: "-O3" shrinks this (tuning/optflag). */
-    double sizeScale = 1.0;
-
     /** Seed controlling per-function size jitter and link order. */
     std::uint64_t seed = 0x67656d35;
 

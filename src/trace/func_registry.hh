@@ -12,8 +12,8 @@
  *    host code address with a synthetic size (trace/code_layout.hh);
  *  - the run-time Recorder uses to capture the dynamic call stream
  *    (trace/recorder.hh);
- *  - the Fig-15 function profiler uses to count distinct functions and
- *    build the hot-function CDF (core/func_profile.hh).
+ *  - the Fig-15 function profile uses to name and rank functions by
+ *    self instructions (core::hostProfileFromSelfOps).
  *
  * Distinct *dynamic specializations* matter: gem5 reaches thousands of
  * distinct functions at run time largely through templates and virtual
@@ -46,8 +46,8 @@ constexpr FuncId invalidFuncId = ~FuncId(0);
  * Coarse classification of simulator code. The kind selects the
  * code-generation parameters (typical machine-code size, branch
  * density, virtual-call density) used when the function is lowered to
- * a synthetic host instruction stream. See trace/codegen_params.hh for
- * the per-kind constants and their provenance.
+ * a synthetic host instruction stream. See trace/code_layout.{hh,cc}
+ * for the per-kind constants (CodegenParams) and their provenance.
  */
 enum class FuncKind : std::uint8_t
 {

@@ -1,7 +1,5 @@
 #include "trace/recorder.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 
 namespace g5p::trace
@@ -19,14 +17,6 @@ Recorder::addConsumer(TraceConsumer *consumer)
 {
     g5p_assert(consumer, "null trace consumer");
     consumers_.push_back(consumer);
-}
-
-void
-Recorder::removeConsumer(TraceConsumer *consumer)
-{
-    consumers_.erase(
-        std::remove(consumers_.begin(), consumers_.end(), consumer),
-        consumers_.end());
 }
 
 void
@@ -72,12 +62,6 @@ DataSpace::alloc(std::size_t size)
     HostAddr addr = next_;
     next_ += (size + 63) & ~std::size_t(63);
     return addr;
-}
-
-void
-DataSpace::resetForTest()
-{
-    next_ = base_;
 }
 
 } // namespace g5p::trace

@@ -68,9 +68,6 @@ class Recorder
     /** Add a consumer; not owned. */
     void addConsumer(TraceConsumer *consumer);
 
-    /** Remove a consumer. */
-    void removeConsumer(TraceConsumer *consumer);
-
     /** Make this recorder the active one (replaces any other). */
     void activate();
 
@@ -310,9 +307,6 @@ class DataSpace
 
     /** Bytes allocated so far. */
     std::uint64_t used() const { return next_ - base_; }
-
-    /** Reset (tests only). */
-    void resetForTest();
 
     /** Base of the synthetic data segment. */
     static constexpr HostAddr dataBase = 0x2000'0000ULL;

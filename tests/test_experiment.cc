@@ -132,13 +132,13 @@ TEST(Experiment, NoKillerFunction)
     RunResult atomic =
         runProfiledSimulation(baseConfig(os::CpuModel::Atomic));
     RunResult o3 = runProfiledSimulation(baseConfig(os::CpuModel::O3));
-    EXPECT_LT(atomic.functionCdf.hottestShare(), 0.25);
-    EXPECT_LT(o3.functionCdf.hottestShare(),
-              atomic.functionCdf.hottestShare());
+    EXPECT_LT(atomic.functionProfile.hottestShare(), 0.25);
+    EXPECT_LT(o3.functionProfile.hottestShare(),
+              atomic.functionProfile.hottestShare());
     // The CDF is monotone and bounded.
-    EXPECT_LE(o3.functionCdf.cumulativeShare(50), 1.0 + 1e-9);
-    EXPECT_GE(o3.functionCdf.cumulativeShare(50),
-              o3.functionCdf.cumulativeShare(10));
+    EXPECT_LE(o3.functionProfile.cumulativeShare(50), 1.0 + 1e-9);
+    EXPECT_GE(o3.functionProfile.cumulativeShare(50),
+              o3.functionProfile.cumulativeShare(10));
 }
 
 TEST(Experiment, CorunSlowsPerProcessTime)

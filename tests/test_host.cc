@@ -56,8 +56,8 @@ branchOp(HostAddr pc, bool taken, HostAddr target)
 TEST(HostCache, HitMissAndOccupancy)
 {
     HostCache cache({1024, 2, 64}); // 8 sets
-    EXPECT_FALSE(cache.access(0x0, false));
-    EXPECT_TRUE(cache.access(0x8, false)); // same line
+    EXPECT_FALSE(cache.access(0x0));
+    EXPECT_TRUE(cache.access(0x8)); // same line
     EXPECT_EQ(cache.validLines(), 1u);
     EXPECT_EQ(cache.occupancyBytes(), 64u);
     EXPECT_EQ(cache.misses(), 1u);
@@ -67,10 +67,10 @@ TEST(HostCache, HitMissAndOccupancy)
 TEST(HostCache, LruWithinSet)
 {
     HostCache cache({1024, 2, 64}); // 8 sets; set stride 512B
-    cache.access(0x0000, false);
-    cache.access(0x0200, false);
-    cache.access(0x0000, false); // refresh
-    cache.access(0x0400, false); // evicts 0x0200
+    cache.access(0x0000);
+    cache.access(0x0200);
+    cache.access(0x0000); // refresh
+    cache.access(0x0400); // evicts 0x0200
     EXPECT_TRUE(cache.contains(0x0000));
     EXPECT_FALSE(cache.contains(0x0200));
     EXPECT_TRUE(cache.contains(0x0400));
@@ -91,7 +91,7 @@ TEST_P(HostCacheCapacity, WorkingSetVsCapacity)
     // reflects whether it fits.
     auto pass = [&] {
         for (HostAddr a = 0; a < 64 * 1024; a += 64)
-            cache.access(a, false);
+            cache.access(a);
     };
     pass();
     std::uint64_t before = cache.hits();
@@ -113,8 +113,8 @@ TEST(HostCache, LineSizeChangesMissCount)
     HostCache small({32 * 1024, 8, 64});
     HostCache large({32 * 1024, 8, 128});
     for (HostAddr a = 0; a < 16 * 1024; a += 8) {
-        small.access(a, false);
-        large.access(a, false);
+        small.access(a);
+        large.access(a);
     }
     EXPECT_NEAR((double)small.misses() / large.misses(), 2.0, 0.1);
 }
@@ -177,26 +177,50 @@ TEST(HostTlb, LargerPageSizeIncreasesReach)
     EXPECT_GT(t4k.missRate(), 2 * t16k.missRate());
 }
 
+TEST(HostTlb, PageSizeClassesDoNotAlias)
+{
+    // 4KB page N and 2MB page N share a page number, hence a set;
+    // only the size class in the tag keeps them apart.
+    constexpr HostAddr page = 0x400;
+    const HostAddr base_addr = page << 12;
+    const HostAddr huge_addr = page << 21;
+    PageSizePolicy policy(12);
+    policy.addHugeRegion(huge_addr, huge_addr + (1u << 21), 1.0);
+    ASSERT_EQ(policy.pageBits(base_addr), 12u);
+    ASSERT_EQ(policy.pageBits(huge_addr), 21u);
+
+    HostTlb tlb({64, 4}, &policy);
+    EXPECT_FALSE(tlb.access(base_addr));
+    EXPECT_FALSE(tlb.access(huge_addr));
+    EXPECT_TRUE(tlb.access(base_addr));
+    EXPECT_TRUE(tlb.access(huge_addr));
+    EXPECT_EQ(tlb.misses(), 2u);
+}
+
 TEST(BranchPredictor, LearnsBiasedSites)
 {
     HostBranchPredictor bp({14, 1024, 16, 256});
     HostOp br = branchOp(0x1000, true, 0x1040);
-    for (int i = 0; i < 100; ++i)
-        bp.resolve(br);
+    unsigned resolved = 0, mispredicts = 0;
+    for (int i = 0; i < 100; ++i) {
+        mispredicts += bp.resolve(br).mispredicted;
+        ++resolved;
+    }
     // After warmup the site predicts perfectly.
-    EXPECT_LT(bp.mispredicts(), 4u);
-    EXPECT_EQ(bp.branches(), 100u);
+    EXPECT_LT(mispredicts, 4u);
+    EXPECT_EQ(resolved, 100u);
 }
 
 TEST(BranchPredictor, UnbiasedSiteMispredicts)
 {
     HostBranchPredictor bp({14, 1024, 16, 256});
     Rng rng(9);
-    unsigned before;
-    for (int i = 0; i < 2000; ++i)
-        bp.resolve(branchOp(0x2000, rng.chance(0.5), 0x2080));
-    before = (unsigned)bp.mispredicts();
-    EXPECT_GT(before, 600u); // ~50% is unlearnable
+    unsigned mispredicts = 0;
+    for (int i = 0; i < 2000; ++i) {
+        HostOp br = branchOp(0x2000, rng.chance(0.5), 0x2080);
+        mispredicts += bp.resolve(br).mispredicted;
+    }
+    EXPECT_GT(mispredicts, 600u); // ~50% is unlearnable
 }
 
 TEST(BranchPredictor, RasPredictsReturns)
@@ -238,17 +262,18 @@ TEST(BranchPredictor, PolymorphicIndirectThrashes)
     // Monomorphic site: learns after one miss.
     ind.target = 0xa000;
     bp.resolve(ind);
-    auto mono_misses = bp.indirectMispredicts();
+    unsigned mono_misses = 0;
     for (int i = 0; i < 20; ++i)
-        bp.resolve(ind);
-    EXPECT_EQ(bp.indirectMispredicts(), mono_misses);
+        mono_misses += bp.resolve(ind).mispredicted;
+    EXPECT_EQ(mono_misses, 0u);
 
     // Alternating targets: every call mispredicts.
+    unsigned poly_misses = 0;
     for (int i = 0; i < 20; ++i) {
         ind.target = i % 2 ? 0xb000 : 0xc000;
-        bp.resolve(ind);
+        poly_misses += bp.resolve(ind).mispredicted;
     }
-    EXPECT_GE(bp.indirectMispredicts(), mono_misses + 19);
+    EXPECT_GE(poly_misses, 19u);
 }
 
 TEST(BranchPredictor, UnknownBranchAfterBtbEviction)
@@ -314,11 +339,11 @@ TEST(Uncore, LevelsAndDramBytes)
     cfg.llc = {1024 * 1024, 16, 64};
     Uncore uncore(cfg);
 
-    auto first = uncore.access(0x123456, false);
+    auto first = uncore.access(0x123456);
     EXPECT_EQ(first.level, Uncore::Level::Memory);
     EXPECT_EQ(uncore.dramBytes(), 64u);
 
-    auto second = uncore.access(0x123456, false);
+    auto second = uncore.access(0x123456);
     EXPECT_EQ(second.level, Uncore::Level::L2);
     EXPECT_LT(second.latencyCycles, first.latencyCycles);
     EXPECT_EQ(uncore.dramBytes(), 64u);
@@ -332,9 +357,9 @@ TEST(Uncore, LlcCatchesL2Victims)
     Uncore uncore(cfg);
 
     for (HostAddr a = 0; a < 64 * 1024; a += 64)
-        uncore.access(a, false);
+        uncore.access(a);
     // Second pass: everything overflowed L2 but lives in LLC.
-    auto res = uncore.access(0x0, false);
+    auto res = uncore.access(0x0);
     EXPECT_EQ(res.level, Uncore::Level::Llc);
     EXPECT_GT(uncore.llcOccupancyPeakBytes(), 32u * 1024);
 }
@@ -345,8 +370,8 @@ TEST(Uncore, NoLlcGoesStraightToMemory)
     cfg.l2 = {4 * 1024, 4, 64};
     Uncore uncore(cfg);
     for (HostAddr a = 0; a < 64 * 1024; a += 64)
-        uncore.access(a, false);
-    auto res = uncore.access(0x0, false);
+        uncore.access(a);
+    auto res = uncore.access(0x0);
     EXPECT_EQ(res.level, Uncore::Level::Memory);
 }
 
@@ -387,23 +412,6 @@ TEST(Topdown, SlotsSumToOne)
     EXPECT_LE(core.counters().ipc(), cfg.dispatchWidth);
 }
 
-TEST(Topdown, CountersAddIsConsistent)
-{
-    HostCounters a, b;
-    a.insts = 10;
-    a.uops = 12;
-    a.baseCycles = 3;
-    a.llcOccupancyBytes = 100;
-    b.insts = 5;
-    b.uops = 6;
-    b.baseCycles = 1.5;
-    b.llcOccupancyBytes = 300;
-    a.add(b);
-    EXPECT_EQ(a.insts, 15u);
-    EXPECT_DOUBLE_EQ(a.baseCycles, 4.5);
-    EXPECT_EQ(a.llcOccupancyBytes, 300u); // max, not sum
-}
-
 TEST(Platforms, TableIIGeometry)
 {
     auto xeon = xeonConfig();
@@ -417,8 +425,8 @@ TEST(Platforms, TableIIGeometry)
     EXPECT_EQ(pro.icache.sizeBytes, 192u * 1024);
     EXPECT_EQ(pro.dcache.sizeBytes, 128u * 1024);
     EXPECT_EQ(xeon.icache.sizeBytes, 32u * 1024);
-    EXPECT_FALSE(pro.smtCapable);
-    EXPECT_TRUE(xeon.smtCapable);
+    EXPECT_EQ(pro.hwThreads, pro.physicalCores); // no SMT
+    EXPECT_GT(xeon.hwThreads, xeon.physicalCores);
     EXPECT_EQ(xeon.hwThreads, 40u);
     EXPECT_EQ(ultra.physicalCores, 16u);
     EXPECT_GT(ultra.llc.sizeBytes, pro.llc.sizeBytes);
@@ -451,7 +459,7 @@ TEST(Platforms, FiresimCacheConfigKeeps64Sets)
     EXPECT_EQ(cfg.icache.numSets(), 64u);
     EXPECT_EQ(cfg.icache.sizeBytes, 16u * 1024);
     EXPECT_EQ(cfg.l2.sizeBytes, 1024u * 1024);
-    EXPECT_FALSE(cfg.hasLlc);
+    EXPECT_EQ(cfg.llc.sizeBytes, 0u); // no L3
 }
 
 #ifdef GTEST_HAS_DEATH_TEST

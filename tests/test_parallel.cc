@@ -114,9 +114,10 @@ resultSignature(const RunResult &r)
        << r.resultChecked << ',' << r.resultOk << ','
        << r.distinctFunctions << '|';
 
-    for (const HotFunction &f : r.functionCdf.ranked()) {
-        os << f.name << ':' << f.selfOps << ':';
-        putBits(os, f.share);
+    for (const core::HostProfileRow &row : r.functionProfile.rows) {
+        os << row.name << ':';
+        putBits(os, row.weight);
+        putBits(os, row.share);
     }
     return os.str();
 }
@@ -662,8 +663,8 @@ runSerialChain(const RunConfig &config)
     result.resultChecked = expected != 0 && config.maxGuestInsts == 0;
     result.resultOk =
         !result.resultChecked || result.guestResult == expected;
-    result.functionCdf = FunctionCdf::build(synth.selfOps());
-    result.distinctFunctions = result.functionCdf.size();
+    result.functionProfile = hostProfileFromSelfOps(synth.selfOps());
+    result.distinctFunctions = result.functionProfile.rows.size();
     return result;
 }
 

@@ -179,18 +179,6 @@ TEST(CodeLayout, SizesDeterministicByName)
     EXPECT_LE(l1.code(f).executedBytes, l1.code(f).sizeBytes);
 }
 
-TEST(CodeLayout, SizeScaleShrinksCode)
-{
-    auto &reg = FuncRegistry::instance();
-    FuncId f = reg.lookup("Test::o3scaled", FuncKind::CpuDetailed);
-
-    CodeLayout base(reg);
-    LayoutOptions opts;
-    opts.sizeScale = 0.5;
-    CodeLayout scaled(reg, opts);
-    EXPECT_LT(scaled.code(f).sizeBytes, base.code(f).sizeBytes);
-}
-
 TEST(CodeLayout, FunctionsDoNotOverlap)
 {
     auto &reg = FuncRegistry::instance();

@@ -99,6 +99,16 @@ if [ "$#" -gt 0 ]; then
     ctest --preset sanitize -R 'Dispatch'
 fi
 
+# Host-model pass: every host cache, TLB and µop-cache lookup indexes
+# one shared TagStore entry array at set * assoc, and the branch
+# predictor masks its table indices, so an off-by-one in a geometry
+# reads past an array. Run the host-model suites and the GoldenHost
+# fixture sanitized even when a filter narrowed the main pass.
+if [ "$#" -gt 0 ]; then
+    echo "== ctest host-model suite (preset: sanitize) =="
+    ctest --preset sanitize -R '^(HostCache|HostTlb|Dsb|Uncore|BranchPredictor|Topdown|Platforms|Corun|GoldenHost)'
+fi
+
 # Sweep-service pass: the chaos suite walks the crash/retry/eviction
 # paths on purpose — torn spool files, corrupt cache entries, a
 # service killed between a cache store and the state transition —
