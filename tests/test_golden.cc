@@ -6,9 +6,10 @@
  * to an FNV-1a digest over the sorted (name, value) pairs. The digest is compared against a
  * checked-in fixture in tests/golden/; any drift — a changed counter,
  * a renamed stat, a perturbed timing model — fails the test with a
- * line-level diff against the fixture. One more fixture pins the
- * other half of the pipeline: the host model's counters and Top-Down
- * breakdown for a profiled run on every CPU model.
+ * line-level diff against the fixture. Two more fixtures pin the
+ * other half of the pipeline: the synthesized host-op stream, and the
+ * host model's counters and Top-Down breakdown for a profiled run on
+ * every CPU model.
  *
  * Intentional changes are blessed by re-running with --update-golden,
  * which rewrites the fixtures in the source tree.
@@ -28,6 +29,9 @@
 #include "core/experiment.hh"
 #include "mem/mem_tester.hh"
 #include "os/system.hh"
+#include "trace/code_layout.hh"
+#include "trace/recorder.hh"
+#include "trace/synthesizer.hh"
 #include "workloads/workload.hh"
 
 using namespace g5p;
@@ -402,6 +406,138 @@ TEST(GoldenHost, ProfiledWaterNsquaredCountersMatchFixture)
     std::sort(lines.begin(), lines.end());
 
     expectMatchesFixture(lines, "host_water_nsquared");
+}
+
+/**
+ * FNV-1a over each op's semantic fields: pc, length, µops and kind,
+ * plus the flags and target of a branch or the address and size of
+ * a load or store. Fields an op's kind does not use are left out, so
+ * the digest pins what the stream says, not how HostOp stores it.
+ */
+class DigestSink : public trace::HostInstSink
+{
+  public:
+    void op(const trace::HostOp &op) override { ops(&op, 1); }
+
+    void
+    ops(const trace::HostOp *batch, std::size_t count) override
+    {
+        using Kind = trace::HostOp::Kind;
+        for (std::size_t i = 0; i < count; ++i) {
+            const trace::HostOp &op = batch[i];
+            feed(op.pc, 8);
+            feed(op.lenBytes, 1);
+            feed(op.uops, 1);
+            feed((std::uint64_t)op.kind, 1);
+            if (op.kind == Kind::Branch) {
+                feed((unsigned)op.taken | (unsigned)op.conditional << 1 |
+                         (unsigned)op.indirect << 2 |
+                         (unsigned)op.isCall << 3 |
+                         (unsigned)op.isReturn << 4,
+                     1);
+                feed(op.target, 8);
+            } else if (op.kind == Kind::Load ||
+                       op.kind == Kind::Store) {
+                feed(op.dataAddr, 8);
+                feed(op.dataSize, 1);
+            }
+        }
+    }
+
+    std::uint64_t digest = 14695981039346656037ULL;
+
+  private:
+    void
+    feed(std::uint64_t value, unsigned bytes)
+    {
+        for (unsigned b = 0; b < bytes; ++b)
+            digest = (digest ^ ((value >> (8 * b)) & 0xff)) *
+                     1099511628211ULL;
+    }
+};
+
+std::string
+hex64(std::uint64_t v)
+{
+    char hex[24];
+    std::snprintf(hex, sizeof hex, "0x%016llx", (unsigned long long)v);
+    return hex;
+}
+
+/**
+ * Run @p workload through Recorder -> Synthesizer -> DigestSink, set
+ * up as runProfiledSimulation does for seed 1 and default tuning,
+ * and return "<label>.<name> <value>" lines for the op count, the op
+ * digest, a digest of the per-function self ops and the laid-out
+ * text size. Self ops are hashed by function name, so the lines do
+ * not depend on the order the process registered functions in.
+ */
+std::vector<std::string>
+traceLines(const std::string &label, const std::string &workload,
+           CpuModel model, unsigned cpus, double work_scale)
+{
+    auto wl = workloads::Registry::instance().create(workload, 0.25);
+    sim::Simulator sim("system");
+    SystemConfig cfg;
+    cfg.cpuModel = model;
+    cfg.numCpus = cpus;
+    System system(sim, cfg, *wl);
+
+    constexpr std::uint64_t seed = 1;
+    trace::LayoutOptions layout_opts;
+    layout_opts.seed ^= seed * 0x9e3779b97f4a7c15ULL;
+    trace::CodeLayout layout(trace::FuncRegistry::instance(),
+                             layout_opts);
+    DigestSink sink;
+    trace::Synthesizer synth(layout, sink, seed, work_scale);
+    trace::Recorder recorder;
+    recorder.addConsumer(&synth);
+    recorder.activate();
+    auto res = system.run();
+    recorder.deactivate();
+    synth.flush();
+    EXPECT_EQ(res.cause, sim::ExitCause::Finished) << label;
+    EXPECT_EQ(system.result(), wl->expectedResult(cpus)) << label;
+
+    std::vector<std::string> self;
+    const auto &registry = trace::FuncRegistry::instance();
+    const std::vector<std::uint64_t> &self_ops = synth.selfOps();
+    for (trace::FuncId id = 0; id < self_ops.size(); ++id)
+        if (self_ops[id] != 0)
+            self.push_back(registry.info(id).name + " " +
+                           std::to_string(self_ops[id]));
+    std::sort(self.begin(), self.end());
+
+    return {
+        label + ".opsEmitted " + std::to_string(synth.opsEmitted()),
+        label + ".opDigest " + hex64(sink.digest),
+        label + ".selfOpsDigest " + hex64(fnv1a(self)),
+        label + ".totalCodeBytes " +
+            std::to_string(layout.totalCodeBytes()),
+    };
+}
+
+TEST(GoldenTrace, SynthesizedOpStreamMatchesFixture)
+{
+    // The op stream itself, ahead of any host structure: a change to
+    // the synthesizer's output moves these lines even where the host
+    // counters happen to come out equal.
+    std::vector<std::string> lines;
+    auto add = [&](std::vector<std::string> run) {
+        lines.insert(lines.end(), run.begin(), run.end());
+    };
+    for (CpuModel model : allCpuModels)
+        add(traceLines(cpuModelName(model), "water_nsquared", model, 1,
+                       1.0));
+    // The -O3 work scale draws one more random number per burst.
+    add(traceLines("TimingO3Scale", "water_nsquared", CpuModel::Timing,
+                   1, 0.995));
+    // Two cores interleave their scopes in one event queue.
+    add(traceLines("RadixThreads2core", "radix_threads",
+                   CpuModel::Timing, 2, 1.0));
+    std::sort(lines.begin(), lines.end());
+
+    expectMatchesFixture(lines, "trace_ops");
 }
 
 } // namespace
