@@ -41,7 +41,7 @@ HostCore::counters() const
     out.l2Misses = uncore_.l2Misses();
     out.llcMisses = uncore_.llcMisses();
     out.dramBytes = uncore_.dramBytes();
-    out.llcOccupancyBytes = uncore_.llcOccupancyPeakBytes();
+    out.llcOccupancyBytes = uncore_.llcOccupancyBytes();
     return out;
 }
 

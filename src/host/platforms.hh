@@ -35,7 +35,9 @@ struct HostPlatformConfig
     HostCacheGeometry icache{32 * 1024, 8, 64};
     HostCacheGeometry dcache{32 * 1024, 8, 64};
     HostCacheGeometry l2{1024 * 1024, 16, 64};
-    HostCacheGeometry llc{36 * 1024 * 1024, 11, 64}; ///< size 0: no L3
+    /** Size 0: no L3. The default is the Xeon preset's geometry:
+     *  every host array needs a power-of-two set count. */
+    HostCacheGeometry llc{32 * 1024 * 1024, 16, 64};
     /** @} */
 
     /** @{ TLBs. */

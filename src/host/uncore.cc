@@ -16,13 +16,8 @@ Uncore::access(HostAddr addr)
     if (l2_.access(addr))
         return {Level::L2, config_.l2LatencyCycles};
 
-    if (llc_) {
-        bool hit = llc_->access(addr);
-        if (llc_->occupancyBytes() > llcOccupancyPeak_)
-            llcOccupancyPeak_ = llc_->occupancyBytes();
-        if (hit)
-            return {Level::Llc, config_.llcLatencyCycles};
-    }
+    if (llc_ && llc_->access(addr))
+        return {Level::Llc, config_.llcLatencyCycles};
 
     dramBytes_ += config_.lineBytes;
     return {Level::Memory, config_.memLatencyCycles()};

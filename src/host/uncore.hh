@@ -45,9 +45,15 @@ class Uncore
     }
     std::uint64_t dramBytes() const { return dramBytes_; }
 
-    /** Peak LLC-resident footprint of this process (Fig. 9). */
-    std::uint64_t llcOccupancyPeakBytes() const
-    { return llcOccupancyPeak_; }
+    /**
+     * LLC-resident footprint of this process (Fig. 9). Lines are
+     * never invalidated, so this is also its peak.
+     */
+    std::uint64_t
+    llcOccupancyBytes() const
+    {
+        return llc_ ? llc_->occupancyBytes() : 0;
+    }
     /** @} */
 
   private:
@@ -56,7 +62,6 @@ class Uncore
     /** Empty on machines without an LLC (llc.sizeBytes == 0). */
     std::optional<HostCache> llc_;
     std::uint64_t dramBytes_ = 0;
-    std::uint64_t llcOccupancyPeak_ = 0;
 };
 
 } // namespace g5p::host

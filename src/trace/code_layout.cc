@@ -106,20 +106,12 @@ CodeLayout::code(FuncId id)
 FuncId
 CodeLayout::childFunc(FuncId parent, unsigned idx)
 {
-    std::uint64_t key = ((std::uint64_t)parent << 16) | idx;
-    auto cached = childIds_.find(key);
-    if (cached != childIds_.end())
-        return cached->second;
-
     auto &registry = FuncRegistry::instance();
     const FuncInfo &info = registry.info(parent);
     // "#<n>" keys collide with opcode-keyed specializations of the
     // same base name, so embed the child index in the name itself.
-    FuncId id =
-        registry.lookup(info.name + "::part" + std::to_string(idx),
-                        info.kind, false);
-    childIds_.emplace(key, id);
-    return id;
+    return registry.lookup(info.name + "::part" + std::to_string(idx),
+                           info.kind, false);
 }
 
 } // namespace g5p::trace

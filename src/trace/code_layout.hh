@@ -13,7 +13,6 @@
 #ifndef G5P_TRACE_CODE_LAYOUT_HH
 #define G5P_TRACE_CODE_LAYOUT_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "base/random.hh"
@@ -109,7 +108,9 @@ class CodeLayout
 
     /**
      * FuncId of the @p idx'th synthetic callee of @p parent
-     * (registered lazily as "<parent>::part#<idx>", same kind).
+     * (registered lazily as "<parent>::part#<idx>", same kind). Builds
+     * a name and takes the registry lock: callers on a hot path
+     * cache the result (the Synthesizer does, per function).
      */
     FuncId childFunc(FuncId parent, unsigned idx);
 
@@ -126,13 +127,6 @@ class CodeLayout
     HostAddr base_;
     HostAddr nextAddr_;
     std::vector<FuncCode> codes_;
-
-    /**
-     * (parent, idx) -> child FuncId cache. childFunc() is on the
-     * synthesizer's per-call-site path; without the cache every
-     * child call builds a name string and takes the registry mutex.
-     */
-    std::unordered_map<std::uint64_t, FuncId> childIds_;
 };
 
 } // namespace g5p::trace

@@ -8,8 +8,10 @@
 #   G5P_SANITIZE_JOBS=4 tools/run_sanitize.sh
 #
 # Any arguments are forwarded to ctest (e.g. -R <regex>, -j N,
-# --rerun-failed). Exit status is ctest's, so this wires directly
-# into CI as a sanitizer job.
+# --rerun-failed). Every ctest pass runs even when an earlier one
+# fails; the script then lists the failed passes and exits non-zero,
+# so it wires directly into CI as a sanitizer job. A failed configure
+# or build still stops it at once.
 
 set -euo pipefail
 
@@ -17,6 +19,18 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$repo_root"
 
 jobs="${G5P_SANITIZE_JOBS:-$(nproc 2>/dev/null || echo 4)}"
+
+# Run one ctest pass: `pass NAME CTEST-ARGS...`. A failure is recorded
+# in failed_passes, not fatal, so the passes after it still run.
+failed_passes=()
+pass() {
+    local name="$1"
+    shift
+    echo "== ctest $name =="
+    if ! ctest "$@"; then
+        failed_passes+=("$name")
+    fi
+}
 
 echo "== configure (preset: sanitize) =="
 cmake --preset sanitize
@@ -28,8 +42,7 @@ cmake --build --preset sanitize -j "$jobs"
 # event and sender-state record has an owner that frees it at
 # simulator teardown, so any leak report is a real bug. The sanitize
 # test preset sets UBSAN halt_on_error so any UB fails the run loudly.
-echo "== ctest (preset: sanitize) =="
-ctest --preset sanitize "$@"
+pass "(preset: sanitize)" --preset sanitize "$@"
 
 # The fault-injection/robustness suite doubles as a sanitizer stress
 # test: dropped/delayed responses, injected I/O failures and watchdog
@@ -37,8 +50,8 @@ ctest --preset sanitize "$@"
 # leaks and UB hide. Run it explicitly even when a filter narrowed
 # the main pass.
 if [ "$#" -gt 0 ]; then
-    echo "== ctest robustness suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(Watchdog|FaultInjection|CrashSafety|TypedErrors)'
+    pass "robustness suite (preset: sanitize)" --preset sanitize \
+        -R '^(Watchdog|FaultInjection|CrashSafety|TypedErrors)'
 fi
 
 # Profiler pass: the self-observability layer instruments the event
@@ -49,8 +62,8 @@ fi
 # paths are exercised under ASan/UBSan even when a filter narrowed the
 # main pass.
 if [ "$#" -gt 0 ]; then
-    echo "== ctest profiler suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(Profiler|RunOptionsApi|ProfilerOverheadGate)'
+    pass "profiler suite (preset: sanitize)" --preset sanitize \
+        -R '^(Profiler|RunOptionsApi|ProfilerOverheadGate)'
 fi
 
 # Sampling pass: the CPU-switch and sampling driver paths carry state
@@ -60,8 +73,8 @@ fi
 # the switch/milestone/sampling suites sanitized even when a filter
 # narrowed the main pass.
 if [ "$#" -gt 0 ]; then
-    echo "== ctest sampling suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(SwitchEquivalenceGate|CpuSwitch|InstMilestone|FastForward|Sampling)'
+    pass "sampling suite (preset: sanitize)" --preset sanitize \
+        -R '^(SwitchEquivalenceGate|CpuSwitch|InstMilestone|FastForward|Sampling)'
 fi
 
 # Coherence pass: the MSI/MESI machinery lives on heap packets and
@@ -71,8 +84,8 @@ fi
 # the stress tester, litmus sweep, and multi-core regressions
 # sanitized even when a filter narrowed the main pass.
 if [ "$#" -gt 0 ]; then
-    echo "== ctest coherence suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(CoherenceStress|CoherenceQuick|Litmus|ThreadedGuest|MultiCoreRegression)'
+    pass "coherence suite (preset: sanitize)" --preset sanitize \
+        -R '^(CoherenceStress|CoherenceQuick|Litmus|ThreadedGuest|MultiCoreRegression)'
 fi
 
 # Timing memory-path pass (PR 10): the packet pool carves THP slabs
@@ -84,8 +97,8 @@ fi
 # machines with packets still parked on events and MSHRs, so LSan
 # sees every teardown path.
 if [ "$#" -gt 0 ]; then
-    echo "== ctest timing memory-path suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(AddrTable|PacketPool|PooledCheckpoint|PoolDrain|GoldenWorkloads)'
+    pass "timing memory-path suite (preset: sanitize)" --preset sanitize \
+        -R '^(AddrTable|PacketPool|PooledCheckpoint|PoolDrain|GoldenWorkloads)'
 fi
 
 # Front-end pass: the THP arenas hand out mmap-backed slabs that the
@@ -95,18 +108,20 @@ fi
 # legs. The pattern also picks up Recorder.DispatchesToConsumers, the
 # trace fan-out those runs feed.
 if [ "$#" -gt 0 ]; then
-    echo "== ctest front-end suite (preset: sanitize) =="
-    ctest --preset sanitize -R 'Dispatch'
+    pass "front-end suite (preset: sanitize)" --preset sanitize \
+        -R 'Dispatch'
 fi
 
 # Host-model pass: every host cache, TLB and µop-cache lookup indexes
-# one shared TagStore entry array at set * assoc, and the branch
-# predictor masks its table indices, so an off-by-one in a geometry
-# reads past an array. Run the host-model suites and the GoldenHost
-# fixture sanitized even when a filter narrowed the main pass.
+# one TagStore block at set * 2 * assoc, and the branch predictor
+# masks its table indices, so an off-by-one in a geometry reads past
+# an array. The synthesizer indexes its site records by byte offset.
+# Run the host-model suites, the TagStore oracle and the GoldenHost
+# and GoldenTrace fixtures sanitized even when a filter narrowed the
+# main pass.
 if [ "$#" -gt 0 ]; then
-    echo "== ctest host-model suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(HostCache|HostTlb|Dsb|Uncore|BranchPredictor|Topdown|Platforms|Corun|GoldenHost)'
+    pass "host-model suite (preset: sanitize)" --preset sanitize \
+        -R '^(TagStore|HostCache|HostTlb|Dsb|Uncore|BranchPredictor|Topdown|Platforms|Corun|GoldenHost|GoldenTrace)'
 fi
 
 # Sweep-service pass: the chaos suite walks the crash/retry/eviction
@@ -117,8 +132,8 @@ fi
 # cold recovery sub-second. Run both sanitized even when a filter
 # narrowed the main pass.
 if [ "$#" -gt 0 ]; then
-    echo "== ctest sweep-service suite (preset: sanitize) =="
-    ctest --preset sanitize -R '^(ServiceChaosGate|ServiceSupervision|ServiceCacheGate|ServiceResume|ServiceAdmission|ServiceIncoming|ServiceStop|ServiceJson|ServiceSpec|ServiceJobKey|ServiceSpool|ServiceCache)'
+    pass "sweep-service suite (preset: sanitize)" --preset sanitize \
+        -R '^(ServiceChaosGate|ServiceSupervision|ServiceCacheGate|ServiceResume|ServiceAdmission|ServiceIncoming|ServiceStop|ServiceJson|ServiceSpec|ServiceJobKey|ServiceSpool|ServiceCache)'
 fi
 
 # TSan pass: the parallel harness runs whole simulations on pool
@@ -147,12 +162,19 @@ if [ "${G5P_SKIP_TSAN:-0}" != "1" ]; then
     # along too. FrontendDispatchGate (matched by `Dispatch`) joins
     # because its profiled runs hand the op stream to the host model
     # on a second thread.
-    echo "== ctest parallel suites (preset: tsan) =="
     # The timing-path suites join because the packet pool and THP
     # arenas are thread-local by design — TSan proves no state leaks
     # across the pool threads that run whole simulations. The
     # PipelinedSink suite covers the ring every profiled run hands
     # its host model through: slot publication, the spin/block
     # handshake, failure propagation and teardown.
-    ctest --preset tsan -R '^(Parallel|Checkpoint|Sampling|Coherence|Service|PipelinedSink)|Dispatch|Pool'
+    pass "parallel suites (preset: tsan)" --preset tsan \
+        -R '^(Parallel|Checkpoint|Sampling|Coherence|Service|PipelinedSink)|Dispatch|Pool'
 fi
+
+if [ ${#failed_passes[@]} -gt 0 ]; then
+    echo "== failed passes ==" >&2
+    printf '  %s\n' "${failed_passes[@]}" >&2
+    exit 1
+fi
+echo "== all passes green =="
