@@ -2,8 +2,9 @@
  * @file
  * Shared command-line parsing for the mg5 examples. Every example
  * accepts the same positionals ([workload] ([cpu-model]) [scale])
- * and the same observability / run-control flags, assembled straight
- * into a sim::RunOptions:
+ * and the same observability / run-control flags, assembled into a
+ * sim::ProfilerConfig (the --profile* and --metrics flags) and a
+ * sim::RunOptions (the rest):
  *
  *   --profile=<trace.json>     self-profile the run, write a Chrome
  *                              trace (open in Perfetto)
@@ -54,6 +55,7 @@
 
 #include "base/sim_error.hh"
 #include "os/system.hh"
+#include "sim/profiler.hh"
 #include "sim/run_options.hh"
 
 namespace g5p::examples
@@ -87,6 +89,11 @@ struct CliOptions
      *  Simulator::configure / System::run / RunConfig. */
     sim::RunOptions run;
 
+    /** Self-profiler knobs from --profile, --profile-batch and
+     *  --metrics; enabled when profiling was asked for. An example
+     *  builds a sim::Profiler from it and attaches it to its runs. */
+    sim::ProfilerConfig profiler;
+
     /** Worker threads for examples that sweep over several runs
      *  (core::runExperiments); 1 = serial, 0 = hardware threads. */
     unsigned jobs = 1;
@@ -115,13 +122,13 @@ struct CliOptions
 
     bool sampling() const { return sampleK > 0; }
 
-    /** Shorthand for run.profiler.tracePath. */
+    /** Where to write the Chrome trace (--profile); "" = no trace. */
     std::string profilePath;
 
     /** Values of CliSpec::extraFlags, keyed by flag name. */
     std::map<std::string, std::string> extra;
 
-    bool profiling() const { return run.profiler.enabled; }
+    bool profiling() const { return profiler.enabled; }
 };
 
 inline os::CpuModel
@@ -225,17 +232,16 @@ parseCli(int argc, char **argv, const CliSpec &spec = {})
         }
 
         if (flag == "--profile") {
-            opts.run.profiler.enabled = true;
-            opts.run.profiler.tracePath = value;
-            opts.run.profiler.traceSlices = true;
+            opts.profiler.enabled = true;
+            opts.profiler.traceSlices = true;
             opts.profilePath = value;
         } else if (flag == "--profile-batch") {
-            opts.run.profiler.batchEvents =
+            opts.profiler.batchEvents =
                 (std::uint32_t)std::strtoul(value.c_str(), nullptr,
                                             0);
         } else if (flag == "--metrics") {
-            opts.run.profiler.enabled = true;
-            opts.run.profiler.metricsPath = value;
+            opts.profiler.enabled = true;
+            opts.profiler.metricsPath = value;
         } else if (flag == "--cpu") {
             opts.cpuModel = parseCpuModel(value);
             cpu_flag_given = true;

@@ -38,11 +38,9 @@ runMain(int argc, char **argv)
 
     // One profiler across the whole campaign: each platform's run
     // becomes a labelled span in a single trace.
-    sim::Profiler campaignProfiler(opts.run.profiler);
-    if (opts.profiling()) {
-        cfg.run.profiler = {};
+    sim::Profiler campaignProfiler(opts.profiler);
+    if (opts.profiling())
         cfg.profiler = &campaignProfiler;
-    }
 
     std::cout << "Same gem5 simulation (" << cfg.workload << ", "
               << "O3 CPU) on the three evaluation platforms:\n\n";

@@ -73,25 +73,24 @@ printGuestSummary(sim::Simulator &sim, os::System &system,
               << "\n";
 }
 
-/** Write the demo run's trace if --profile was given. */
+/** Write the demo run's trace to @p path if it is set. */
 void
-maybeWriteTrace(sim::Simulator &sim, const core::RunConfig &cfg)
+maybeWriteTrace(const core::RunConfig &cfg, const std::string &path)
 {
-    sim::Profiler *prof = sim.profiler();
-    if (!prof || cfg.run.profiler.tracePath.empty())
+    if (!cfg.profiler || path.empty())
         return;
-    prof->disarm();
+    cfg.profiler->disarm();
     if (core::writeChromeTraceFile(
-            cfg.run.profiler.tracePath,
-            {{os::cpuModelName(cfg.cpuModel), prof}})) {
-        std::cout << "\nChrome trace written to '"
-                  << cfg.run.profiler.tracePath << "'\n";
+            path, {{os::cpuModelName(cfg.cpuModel), cfg.profiler}})) {
+        std::cout << "\nChrome trace written to '" << path << "'\n";
     }
 }
 
-/** The --checkpoint / --restore demo: drive mg5 directly. */
+/** The --checkpoint / --restore demo: drive mg5 directly, profiled
+ *  by cfg.profiler when one is set. */
 int
 runCheckpointDemo(const core::RunConfig &cfg,
+                  const std::string &profilePath,
                   const std::string &ckptPath,
                   const std::string &restorePath, Tick ckptAt)
 {
@@ -104,6 +103,8 @@ runCheckpointDemo(const core::RunConfig &cfg,
 
     sim::Simulator sim("system");
     os::System system(sim, scfg, *wl);
+    if (cfg.profiler)
+        sim.attachProfiler(*cfg.profiler);
 
     if (!restorePath.empty()) {
         sim.restore(restorePath);
@@ -111,7 +112,7 @@ runCheckpointDemo(const core::RunConfig &cfg,
                   << sim.curTick() << "; resuming...\n\n";
         auto res = system.run(cfg.run);
         printGuestSummary(sim, system, res);
-        maybeWriteTrace(sim, cfg);
+        maybeWriteTrace(cfg, profilePath);
         return 0;
     }
 
@@ -120,7 +121,7 @@ runCheckpointDemo(const core::RunConfig &cfg,
         std::cout << "workload finished before tick " << ckptAt
                   << "; nothing to checkpoint\n";
         printGuestSummary(sim, system, part);
-        maybeWriteTrace(sim, cfg);
+        maybeWriteTrace(cfg, profilePath);
         return 0;
     }
     sim.checkpoint(ckptPath);
@@ -129,7 +130,7 @@ runCheckpointDemo(const core::RunConfig &cfg,
               << "; continuing in-process...\n\n";
     auto res = system.run();
     printGuestSummary(sim, system, res);
-    maybeWriteTrace(sim, cfg);
+    maybeWriteTrace(cfg, profilePath);
     std::cout << "\nresume it with: --restore " << ckptPath << "\n";
     return 0;
 }
@@ -171,22 +172,21 @@ runMain(int argc, char **argv)
         return 0;
     }
 
+    // Self-profile through an external collector so the data
+    // outlives the run's Simulator.
+    sim::Profiler selfProfiler(opts.profiler);
+    if (opts.profiling())
+        cfg.profiler = &selfProfiler;
+
     if (opts.extra.count("--checkpoint") ||
         opts.extra.count("--restore")) {
         Tick ckptAt = 1'000'000;
         if (opts.extra.count("--at"))
             ckptAt = std::strtoull(opts.extra["--at"].c_str(),
                                    nullptr, 0);
-        return runCheckpointDemo(cfg, opts.extra["--checkpoint"],
+        return runCheckpointDemo(cfg, opts.profilePath,
+                                 opts.extra["--checkpoint"],
                                  opts.extra["--restore"], ckptAt);
-    }
-
-    // Self-profile through an external collector so the data
-    // outlives the run's Simulator.
-    sim::Profiler selfProfiler(opts.run.profiler);
-    if (opts.profiling()) {
-        cfg.run.profiler = {};
-        cfg.profiler = &selfProfiler;
     }
 
     std::cout << "Profiling mg5: " << cfg.workload << " on the "

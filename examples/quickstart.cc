@@ -60,14 +60,10 @@ runMain(int argc, char **argv)
         cfg.numCpus = opts.cores;
         os::System system(simulator, cfg, *workload);
 
-        // Run-control knobs minus the profiler, which this example
-        // manages itself (externally, so data outlives the machine).
-        sim::RunOptions run = opts.run;
-        run.profiler = {};
-        simulator.configure(run);
+        simulator.configure(opts.run);
 
         if (opts.profiling()) {
-            sim::ProfilerConfig pc = opts.run.profiler;
+            sim::ProfilerConfig pc = opts.profiler;
             if (!pc.metricsPath.empty())
                 pc.metricsPath += std::string(".") +
                                   os::cpuModelName(model);

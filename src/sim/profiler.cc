@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <utility>
 
 #include "base/logging.hh"
 #include "sim/eventq.hh"
@@ -38,28 +39,16 @@ nextInstanceTag()
 } // namespace
 
 Profiler::Profiler(ProfilerConfig config)
-    : instanceTag_(nextInstanceTag())
+    : config_(std::move(config)), instanceTag_(nextInstanceTag())
 {
-    configure(config);
+    if (config_.batchEvents == 0)
+        config_.batchEvents = 1;
+    batch_.assign(config_.batchEvents, 0);
 }
 
 Profiler::~Profiler()
 {
     disarm();
-}
-
-void
-Profiler::configure(const ProfilerConfig &config)
-{
-    g5p_assert(!armed_, "Profiler::configure while armed");
-    config_ = config;
-    if (config_.batchEvents == 0)
-        config_.batchEvents = 1;
-    // A trace destination implies per-event slices: an empty trace
-    // would defeat the point of asking for one.
-    if (!config_.tracePath.empty())
-        config_.traceSlices = true;
-    batch_.assign(config_.batchEvents, 0);
 }
 
 void

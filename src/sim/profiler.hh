@@ -41,24 +41,21 @@ namespace g5p::sim
 
 class Event;
 
-/** Knobs for the self-profiler; part of RunOptions. */
+/** Knobs for the self-profiler, fixed when it is built. */
 struct ProfilerConfig
 {
-    /** Master switch: RunOptions-driven paths create and arm a
-     *  profiler only when set. */
+    /** Profiling requested: a caller that builds a Profiler only on
+     *  request (the example CLI's --profile and --metrics) reads
+     *  this. The Profiler itself ignores it. */
     bool enabled = false;
 
     /** Events per steady_clock read in batch mode (>= 1). */
     std::uint32_t batchEvents = 64;
 
     /** Record a wall-clock slice per serviced event (two clock reads
-     *  per event) so the Chrome trace shows individual events. Implied
-     *  by a non-empty tracePath. */
+     *  per event) so the Chrome trace shows individual events. The
+     *  profiler only collects; core/telemetry writes the trace. */
     bool traceSlices = false;
-
-    /** Where the caller intends to write the Chrome trace ("" = no
-     *  trace). The profiler only collects; core/telemetry writes. */
-    std::string tracePath;
 
     /** Bound on retained slices; once full, further slices are
      *  counted as dropped rather than recorded. */
@@ -130,9 +127,9 @@ struct ProfOwner
 };
 
 /**
- * The collector. One per Simulator (owned via RunOptions) or caller
- * provided (Simulator::attachProfiler); install into the event loop
- * with EventQueue::setProfiler.
+ * The collector. Always caller-owned: Simulator::attachProfiler()
+ * installs it into the event loop, so its data outlives the run and
+ * one profiler can follow several runs.
  */
 class Profiler
 {
@@ -142,10 +139,6 @@ class Profiler
 
     Profiler(const Profiler &) = delete;
     Profiler &operator=(const Profiler &) = delete;
-
-    /** Replace the configuration (only while disarmed). */
-    void configure(const ProfilerConfig &config);
-    const ProfilerConfig &config() const { return config_; }
 
     /** Start collecting: zero the wall-clock origin, open the metrics
      *  stream. Idempotent. */

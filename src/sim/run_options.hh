@@ -5,19 +5,20 @@
  *
  * PRs 1-3 accrued setters one at a time — a watchdog setter, an
  * auto-checkpoint enabler, a fault seed buried in
- * mem::FaultInjectorParams — and the profiler would have added more.
- * This struct replaces them: build one RunOptions, hand it to the
- * simulator (or System::run), done.
+ * mem::FaultInjectorParams. This struct replaces them: build one
+ * RunOptions, hand it to the simulator (or System::run), done.
+ * Profiling is not run control: a caller builds a sim::Profiler and
+ * hands it to Simulator::attachProfiler().
  */
 
 #ifndef G5P_SIM_RUN_OPTIONS_HH
 #define G5P_SIM_RUN_OPTIONS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "base/types.hh"
-#include "sim/profiler.hh"
 
 namespace g5p::sim
 {
@@ -83,9 +84,6 @@ struct RunOptions
     /** Overrides mem::FaultInjectorParams::seed when nonzero, so a
      *  fault campaign is re-seeded from the run control in one place. */
     std::uint64_t faultSeed = 0;
-
-    /** Self-profiler knobs (see sim/profiler.hh). */
-    ProfilerConfig profiler;
 };
 
 } // namespace g5p::sim

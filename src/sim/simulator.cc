@@ -6,6 +6,7 @@
 
 #include "base/logging.hh"
 #include "base/sim_error.hh"
+#include "sim/profiler.hh"
 #include "sim/sim_object.hh"
 #include "trace/recorder.hh"
 
@@ -203,51 +204,21 @@ Simulator::applyAutoCheckpoint(Tick period, std::string prefix)
 }
 
 void
-Simulator::installProfiler(Profiler *profiler, bool owned)
-{
-    if (!owned && ownedProfiler_ && ownedProfiler_->armed())
-        ownedProfiler_->disarm();
-    profiler_ = profiler;
-    eventq_.setProfiler(profiler);
-    if (profiler) {
-        for (const auto *obj : objects_)
-            profiler->registerOwner(obj->name(), obj->id());
-    }
-}
-
-void
-Simulator::applyProfiler(const ProfilerConfig &config)
-{
-    if (!config.enabled) {
-        if (profiler_ && profiler_ == ownedProfiler_.get())
-            ownedProfiler_->disarm();
-        profiler_ = nullptr;
-        eventq_.setProfiler(nullptr);
-        return;
-    }
-    if (!ownedProfiler_)
-        ownedProfiler_ = std::make_unique<Profiler>();
-    else if (ownedProfiler_->armed())
-        ownedProfiler_->disarm();
-    ownedProfiler_->configure(config);
-    installProfiler(ownedProfiler_.get(), true);
-    ownedProfiler_->arm();
-}
-
-void
 Simulator::configure(const RunOptions &options)
 {
     runOptions_ = options;
     applyWatchdog(options.watchdog, options.supervise);
     applyAutoCheckpoint(options.autoCheckpointPeriod,
                         options.autoCheckpointPrefix);
-    applyProfiler(options.profiler);
 }
 
 void
 Simulator::attachProfiler(Profiler &profiler)
 {
-    installProfiler(&profiler, false);
+    profiler_ = &profiler;
+    eventq_.setProfiler(&profiler);
+    for (const auto *obj : objects_)
+        profiler.registerOwner(obj->name(), obj->id());
     if (!profiler.armed())
         profiler.arm();
 }

@@ -362,27 +362,26 @@ TEST(Profiler, BatchModeCountsMatchTraceModeCounts)
     EXPECT_EQ(batched, traced);
 }
 
-TEST(Profiler, OwnedProfilerViaRunOptions)
+TEST(Profiler, AttachedProfilerSurvivesConfigure)
 {
+    // configure() is run control only: a run configured after the
+    // profiler was attached still reports to that profiler.
     Machine m;
-    sim::RunOptions run;
-    run.profiler.enabled = true;
-    run.profiler.batchEvents = 16;
-    auto res = m.system.run(run);
-    ASSERT_EQ(res.cause, sim::ExitCause::Finished);
-
-    ASSERT_NE(m.sim.profiler(), nullptr);
-    EXPECT_GT(m.sim.profiler()->totalEvents(), 0u);
-    EXPECT_FALSE(m.sim.profiler()->counterSamples().empty());
-}
-
-TEST(Profiler, DisabledProfilerIsAbsent)
-{
-    Machine m;
-    sim::RunOptions run; // profiler.enabled defaults to false
-    auto res = m.system.run(run);
-    ASSERT_EQ(res.cause, sim::ExitCause::Finished);
     EXPECT_EQ(m.sim.profiler(), nullptr);
+    sim::ProfilerConfig pc;
+    pc.batchEvents = 16;
+    sim::Profiler prof(pc);
+    m.sim.attachProfiler(prof);
+
+    sim::RunOptions run;
+    run.supervise = true;
+    run.watchdog.livelockEvents = 1u << 20;
+    auto res = m.system.run(run);
+    ASSERT_EQ(res.cause, sim::ExitCause::Finished);
+
+    EXPECT_EQ(m.sim.profiler(), &prof);
+    EXPECT_GT(prof.totalEvents(), 0u);
+    EXPECT_FALSE(prof.counterSamples().empty());
 }
 
 // ---------------------------------------------------------------------
@@ -579,12 +578,14 @@ TEST(RunOptionsApi, ConfigureDoesNotPerturbTheRun)
     ASSERT_EQ(full.cause, sim::ExitCause::Finished);
 
     Machine m;
+    sim::ProfilerConfig pc;
+    pc.batchEvents = 8;
+    sim::Profiler prof(pc);
+    m.sim.attachProfiler(prof);
     sim::RunOptions run;
     run.supervise = true;
     run.watchdog.livelockEvents = 1u << 20;
     run.watchdog.maxEvents = 1ull << 40;
-    run.profiler.enabled = true;
-    run.profiler.batchEvents = 8;
     auto res = m.system.run(run);
     ASSERT_EQ(res.cause, sim::ExitCause::Finished);
 
