@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel experiment harness: a work-stealing worker pool running
- * independent profiled simulations concurrently across host threads.
+ * Parallel experiment harness: a worker pool running independent
+ * profiled simulations concurrently across host threads.
  *
  * The paper's methodology is embarrassingly parallel (Fig. 1 alone is
  * 9 workloads x 4 CPU models x 3 platforms, and the paper co-runs up
@@ -26,13 +26,12 @@
  *    function name, profiles are ranked with name tie-breaks), so it
  *    does not matter which thread registers a name first.
  *
- * Scheduling order therefore cannot leak into results; the pool is
- * free to steal aggressively.
+ * Scheduling order therefore cannot leak into results.
  *
  * The one sharing hazard left is opt-in: RunConfig::profiler lets a
  * caller attach one self-profiler to several runs. A sim::Profiler
  * instance is not concurrency-safe, so configs sharing a profiler
- * must go through runExperiments with jobs <= 1 (as the examples
+ * must go through runExperiments with jobs == 1 (as the examples
  * do when --profile is given).
  */
 
@@ -48,12 +47,8 @@ namespace g5p::core
 {
 
 /**
- * Work-stealing pool over runProfiledSimulation jobs.
- *
- * Jobs are dealt round-robin onto per-worker queues; a worker drains
- * its own queue from the front and, when empty, steals from the back
- * of a victim's queue. Results come back in submission order
- * regardless of completion order.
+ * Worker pool over independent jobs. Workers take job indices from
+ * one shared cursor, so jobs start in submission order.
  */
 class ParallelExecutor
 {
@@ -65,37 +60,14 @@ class ParallelExecutor
     ParallelExecutor &operator=(const ParallelExecutor &) = delete;
 
     /**
-     * Run every config through runProfiledSimulation on the pool and
-     * return results in submission order. Blocks until all jobs
-     * finish. If any job throws, the first failure (in submission
-     * order) is rethrown after every worker has drained.
-     *
-     * With a job wall cap set (setJobWallCap), a job that exceeds it
-     * is cut short by the in-simulator watchdog and comes back as a
-     * normal result with exitCause == WatchdogTimeout — one hung or
-     * pathological config can no longer stall or abort the sweep.
-     */
-    std::vector<RunResult> run(const std::vector<RunConfig> &configs);
-
-    /**
-     * Per-job wall-clock cap in seconds applied to every config run()
-     * executes (0 = none). Configs that already supervise with a
-     * tighter maxWallSeconds keep their own budget; everything else
-     * gets `supervise = true` with this cap. The PR 3 watchdog's
-     * event budgets count simulated work — this is the host-time
-     * bound a long-running sweep service actually needs.
-     */
-    void setJobWallCap(double seconds) { jobWallCapSeconds_ = seconds; }
-    double jobWallCap() const { return jobWallCapSeconds_; }
-
-    /**
-     * Generic form: run @p job for every index in [0, count) on the
-     * pool, same dealing/stealing/error policy as run(). The job
-     * writes its own results (typically into a pre-sized vector slot
-     * at its index, which needs no locking); the same isolation
-     * contract applies — a job must touch no mutable state shared
-     * with other jobs. The sampling driver runs its detailed
-     * intervals through this.
+     * Run @p job for every index in [0, count) on the pool; blocks
+     * until all finish. With one worker (or one index) the jobs run
+     * inline on the calling thread, in order. The job writes its own
+     * results (typically into a pre-sized vector slot at its index,
+     * which needs no locking); the isolation contract applies — a
+     * job must touch no mutable state shared with other jobs. Every
+     * index runs even if some throw; the exception of the lowest
+     * failing index is then rethrown.
      */
     void forEach(std::size_t count,
                  const std::function<void(std::size_t)> &job);
@@ -108,24 +80,31 @@ class ParallelExecutor
 
   private:
     unsigned jobs_;
-    double jobWallCapSeconds_ = 0.0;
 };
 
 /**
- * The config @p executor-capped jobs actually run: a copy of
- * @p config with the wall cap folded into its watchdog (identity
- * when @p cap_seconds is 0 or the config already runs under a
- * tighter budget). Exposed so serial and pooled paths stay
- * byte-identical under a cap.
+ * The config a job capped at @p cap_seconds of host time actually
+ * runs: a copy of @p config with the cap folded into its watchdog
+ * (identity when @p cap_seconds is 0 or the config already runs
+ * under a tighter budget). The watchdog's event budgets count
+ * simulated work; this is the host-time bound a long-running sweep
+ * needs.
  */
 RunConfig withJobWallCap(const RunConfig &config, double cap_seconds);
 
 /**
- * Convenience entry point for sweep loops: serial in submission
- * order when @p jobs <= 1 (the reference path, no pool involved),
- * pooled otherwise. Both paths return byte-identical results.
- * @p wall_cap_seconds bounds each job's host time (0 = unlimited);
- * see ParallelExecutor::setJobWallCap.
+ * Run every config through runProfiledSimulation on a pool of
+ * @p jobs workers (0 = hardwareJobs(); 1 runs them inline, in
+ * order) and return results in submission order. Results are
+ * byte-identical for every @p jobs. If any job throws, the
+ * exception of the lowest failing index is rethrown after every job
+ * has run.
+ *
+ * @p wall_cap_seconds bounds each job's host time (0 = unlimited;
+ * see withJobWallCap): a job that exceeds it is cut short by the
+ * in-simulator watchdog and comes back as a normal result with
+ * exitCause == WatchdogTimeout, so one hung or pathological config
+ * cannot stall or abort the sweep.
  */
 std::vector<RunResult>
 runExperiments(const std::vector<RunConfig> &configs, unsigned jobs,
