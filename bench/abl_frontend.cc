@@ -43,7 +43,7 @@ main(int argc, char **argv)
 
     // Before: stock text layout. After: the hot/cold split and order
     // file, THP-backed text. hotLayout densifies the fetched text and
-    // thpCode backs the packed hot pages with huge pages — the
+    // THP backs the packed hot pages with huge pages — the
     // icache/iTLB share of front-end bound.
     core::RunConfig cfg;
     cfg.workload = "water_nsquared";
@@ -55,7 +55,7 @@ main(int argc, char **argv)
     std::fprintf(stderr, "  running modeled Top-Down legs ...\n");
     core::RunResult before = core::runProfiledSimulation(cfg);
     cfg.tuning.hotLayout = true;
-    cfg.tuning.thpCode = true;
+    cfg.tuning.hugePages = core::HugePageMode::Thp;
     core::RunResult after = core::runProfiledSimulation(cfg);
 
     double fe_before = before.topdown.frontendBound();

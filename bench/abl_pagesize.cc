@@ -34,7 +34,8 @@ main(int argc, char **argv)
         for (bool thp : {false, true}) {
             core::RunConfig cfg = base;
             cfg.platform.pageBits = bits;
-            cfg.tuning.thpCode = thp;
+            cfg.tuning.hugePages =
+                thp ? core::HugePageMode::Thp : core::HugePageMode::None;
             const auto &run = cache.get(cfg);
             table.addRow({fmtBytes(1ull << bits), onOff(thp),
                           fmtDouble(1000.0 *

@@ -30,11 +30,9 @@ main(int argc, char **argv)
         cfg.platform = host::xeonConfig();
         const auto &base = cache.get(cfg);
 
-        tuning::applyHugePages(cfg.tuning,
-                               tuning::HugePageMode::Thp);
+        cfg.tuning.hugePages = core::HugePageMode::Thp;
         double thp = tuning::speedupOver(base, cache.get(cfg));
-        tuning::applyHugePages(cfg.tuning,
-                               tuning::HugePageMode::Ehp);
+        cfg.tuning.hugePages = core::HugePageMode::Ehp;
         double ehp = tuning::speedupOver(base, cache.get(cfg));
 
         table.addRow({os::cpuModelName(model),

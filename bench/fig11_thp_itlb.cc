@@ -32,8 +32,7 @@ main(int argc, char **argv)
         cfg.cpuModel = model;
         cfg.platform = host::xeonConfig();
         const auto &base = cache.get(cfg);
-        tuning::applyHugePages(cfg.tuning,
-                               tuning::HugePageMode::Thp);
+        cfg.tuning.hugePages = core::HugePageMode::Thp;
         const auto &thp = cache.get(cfg);
 
         double base_itlb = base.topdown.feItlb;

@@ -32,7 +32,7 @@ main(int argc, char **argv)
                 cfg.cpuModel = os::CpuModel::Timing;
                 cfg.platform = platform;
                 sweep.push_back(cfg);
-                tuning::applyO3(cfg.tuning);
+                cfg.tuning.optO3 = true;
                 sweep.push_back(cfg);
             }
         }
@@ -53,7 +53,7 @@ main(int argc, char **argv)
             cfg.cpuModel = os::CpuModel::Timing;
             cfg.platform = platform;
             const auto &base = cache.get(cfg);
-            tuning::applyO3(cfg.tuning);
+            cfg.tuning.optO3 = true;
             const auto &opt = cache.get(cfg);
             double pct = tuning::o3SpeedupPercent(base, opt);
             per_platform[platform.name].push_back(pct);

@@ -31,7 +31,7 @@ main(int argc, char **argv)
     core::Table table({"Frequency", "norm. sim time",
                        "linear prediction"});
     for (double ghz : tuning::xeonFrequencyLadderGHz()) {
-        tuning::applyFrequency(cfg.tuning, ghz);
+        cfg.tuning.freqGHzOverride = ghz;
         const auto &run = cache.get(cfg);
         table.addRow({fmtDouble(ghz, 1) + "GHz",
                       fmtDouble(tuning::normalizedTime(base, run),
@@ -39,7 +39,7 @@ main(int argc, char **argv)
                       fmtDouble(3.1 / ghz, 3)});
     }
     cfg.tuning.freqGHzOverride = 0.0;
-    tuning::applyTurbo(cfg.tuning);
+    cfg.tuning.turbo = true;
     const auto &turbo = cache.get(cfg);
     table.addRow({"3.1GHz + TurboBoost",
                   fmtDouble(tuning::normalizedTime(base, turbo), 3),

@@ -98,9 +98,11 @@ runProfiledSimulation(const RunConfig &config)
                              layout_opts);
 
     host::PageSizePolicy policy(platform.pageBits);
-    if (config.tuning.thpCode || config.tuning.ehpCode) {
+    if (config.tuning.hugePages != HugePageMode::None) {
         // Huge pages can only back the code segment region.
-        double coverage = config.tuning.ehpCode ? 1.0 : thpCoverage;
+        double coverage = config.tuning.hugePages == HugePageMode::Ehp
+                              ? 1.0
+                              : thpCoverage;
         policy.addHugeRegion(layout_opts.codeBase,
                              layout_opts.codeBase + (64ull << 20),
                              coverage);

@@ -9,18 +9,6 @@ xeonFrequencyLadderGHz()
     return {3.1, 2.6, 2.1, 1.6, 1.2};
 }
 
-void
-applyFrequency(core::TuningConfig &tuning, double freq_ghz)
-{
-    tuning.freqGHzOverride = freq_ghz;
-}
-
-void
-applyTurbo(core::TuningConfig &tuning, bool enabled)
-{
-    tuning.turbo = enabled;
-}
-
 double
 normalizedTime(const core::RunResult &base,
                const core::RunResult &scaled)

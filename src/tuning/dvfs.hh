@@ -4,7 +4,9 @@
  * host core frequency, plus TurboBoost. Memory latency is fixed in
  * nanoseconds, so time scales slightly sub-linearly with 1/f — but
  * since gem5 barely touches DRAM, the paper (and this model) observe
- * an almost exactly linear relationship.
+ * an almost exactly linear relationship. A run sets the frequency
+ * with core::TuningConfig::freqGHzOverride and TurboBoost with
+ * core::TuningConfig::turbo.
  */
 
 #ifndef G5P_TUNING_DVFS_HH
@@ -19,12 +21,6 @@ namespace g5p::tuning
 
 /** The Fig. 13 frequency ladder for the Xeon (GHz). */
 std::vector<double> xeonFrequencyLadderGHz();
-
-/** Set the host frequency for a run. */
-void applyFrequency(core::TuningConfig &tuning, double freq_ghz);
-
-/** Enable TurboBoost for a run. */
-void applyTurbo(core::TuningConfig &tuning, bool enabled = true);
 
 /** Simulation time normalized to the base-frequency run. */
 double normalizedTime(const core::RunResult &base,

@@ -3,24 +3,6 @@
 namespace g5p::tuning
 {
 
-const char *
-hugePageModeName(HugePageMode mode)
-{
-    switch (mode) {
-      case HugePageMode::None: return "base";
-      case HugePageMode::Thp:  return "THP";
-      case HugePageMode::Ehp:  return "EHP";
-    }
-    return "?";
-}
-
-void
-applyHugePages(core::TuningConfig &tuning, HugePageMode mode)
-{
-    tuning.thpCode = mode == HugePageMode::Thp;
-    tuning.ehpCode = mode == HugePageMode::Ehp;
-}
-
 double
 speedupOver(const core::RunResult &base, const core::RunResult &tuned)
 {

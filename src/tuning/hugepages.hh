@@ -3,33 +3,17 @@
  * Huge-page tuning (paper §V-A, Figs. 10–11): backing mg5's code
  * segment with 2MB pages via Transparent Huge Pages (THP, iodlr-style
  * partial remap) or Explicit Huge Pages (EHP, libhugetlbfs-style full
- * remap of a relinked binary).
+ * remap of a relinked binary). A run picks one with
+ * core::TuningConfig::hugePages.
  */
 
 #ifndef G5P_TUNING_HUGEPAGES_HH
 #define G5P_TUNING_HUGEPAGES_HH
 
-#include <string>
-#include <vector>
-
 #include "core/experiment.hh"
 
 namespace g5p::tuning
 {
-
-/** The three code-backing configurations of Fig. 10. */
-enum class HugePageMode : std::uint8_t { None, Thp, Ehp };
-
-/** Mode name ("base"/"THP"/"EHP"). */
-const char *hugePageModeName(HugePageMode mode);
-
-/** All modes, in the paper's presentation order. */
-inline constexpr HugePageMode allHugePageModes[] = {
-    HugePageMode::None, HugePageMode::Thp, HugePageMode::Ehp,
-};
-
-/** Apply @p mode to a run's tuning config. */
-void applyHugePages(core::TuningConfig &tuning, HugePageMode mode);
 
 /** Relative speedup of @p tuned over @p base (host seconds). */
 double speedupOver(const core::RunResult &base,

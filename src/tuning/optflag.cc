@@ -3,12 +3,6 @@
 namespace g5p::tuning
 {
 
-void
-applyO3(core::TuningConfig &tuning, bool enabled)
-{
-    tuning.optO3 = enabled;
-}
-
 double
 o3SpeedupPercent(const core::RunResult &base,
                  const core::RunResult &o3)

@@ -3,7 +3,8 @@
  * Compiler-flag tuning (paper §V-A, Fig. 12): rebuilding gem5 with
  * "-O3" shrinks the binary and the dynamic instruction count slightly
  * — but relinking also reshuffles the code layout, so individual
- * workloads can regress (the paper observes a few such cases).
+ * workloads can regress (the paper observes a few such cases). A
+ * run enables it with core::TuningConfig::optO3.
  */
 
 #ifndef G5P_TUNING_OPTFLAG_HH
@@ -13,9 +14,6 @@
 
 namespace g5p::tuning
 {
-
-/** Enable the -O3 build in a run's tuning config. */
-void applyO3(core::TuningConfig &tuning, bool enabled = true);
 
 /** Percent speedup of the -O3 build over the base build. */
 double o3SpeedupPercent(const core::RunResult &base,

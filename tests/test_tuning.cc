@@ -31,25 +31,12 @@ o3Config()
 
 } // namespace
 
-TEST(HugePages, ModesSetDistinctFlags)
-{
-    TuningConfig t;
-    applyHugePages(t, HugePageMode::Thp);
-    EXPECT_TRUE(t.thpCode);
-    EXPECT_FALSE(t.ehpCode);
-    applyHugePages(t, HugePageMode::Ehp);
-    EXPECT_TRUE(t.ehpCode);
-    EXPECT_FALSE(t.thpCode);
-    applyHugePages(t, HugePageMode::None);
-    EXPECT_FALSE(t.thpCode | t.ehpCode);
-}
-
 TEST(HugePages, ThpCutsItlbMisses)
 {
     RunConfig cfg = o3Config();
     RunResult base = runProfiledSimulation(cfg);
 
-    applyHugePages(cfg.tuning, HugePageMode::Thp);
+    cfg.tuning.hugePages = HugePageMode::Thp;
     RunResult thp = runProfiledSimulation(cfg);
 
     // Fig. 11: THP reduces iTLB overhead dramatically (~63% in the
@@ -64,9 +51,9 @@ TEST(HugePages, ThpCutsItlbMisses)
 TEST(HugePages, EhpCoversAtLeastAsMuchAsThp)
 {
     RunConfig cfg = o3Config();
-    applyHugePages(cfg.tuning, HugePageMode::Thp);
+    cfg.tuning.hugePages = HugePageMode::Thp;
     RunResult thp = runProfiledSimulation(cfg);
-    applyHugePages(cfg.tuning, HugePageMode::Ehp);
+    cfg.tuning.hugePages = HugePageMode::Ehp;
     RunResult ehp = runProfiledSimulation(cfg);
     EXPECT_LE(ehp.counters.itlbMisses, thp.counters.itlbMisses);
 }
@@ -77,12 +64,12 @@ TEST(HugePages, BenefitGrowsWithDetail)
     RunConfig cfg = o3Config();
     cfg.cpuModel = os::CpuModel::Atomic;
     RunResult atomic_base = runProfiledSimulation(cfg);
-    applyHugePages(cfg.tuning, HugePageMode::Thp);
+    cfg.tuning.hugePages = HugePageMode::Thp;
     RunResult atomic_thp = runProfiledSimulation(cfg);
 
     cfg = o3Config();
     RunResult o3_base = runProfiledSimulation(cfg);
-    applyHugePages(cfg.tuning, HugePageMode::Thp);
+    cfg.tuning.hugePages = HugePageMode::Thp;
     RunResult o3_thp = runProfiledSimulation(cfg);
 
     double atomic_gain = speedupOver(atomic_base, atomic_thp);
@@ -94,7 +81,7 @@ TEST(OptFlag, ShrinksBinaryAndInstructionCount)
 {
     RunConfig cfg = o3Config();
     RunResult base = runProfiledSimulation(cfg);
-    applyO3(cfg.tuning);
+    cfg.tuning.optO3 = true;
     RunResult opt = runProfiledSimulation(cfg);
 
     EXPECT_LT(opt.codeBytes, base.codeBytes);
@@ -114,7 +101,7 @@ TEST(Dvfs, SimTimeScalesRoughlyLinearly)
     cfg.cpuModel = os::CpuModel::Timing;
     RunResult base = runProfiledSimulation(cfg);
 
-    applyFrequency(cfg.tuning, 1.2);
+    cfg.tuning.freqGHzOverride = 1.2;
     RunResult slow = runProfiledSimulation(cfg);
 
     double ratio = normalizedTime(base, slow);
@@ -136,7 +123,7 @@ TEST(Dvfs, TurboBoostSpeedsUp)
     RunConfig cfg = o3Config();
     cfg.cpuModel = os::CpuModel::Atomic;
     RunResult base = runProfiledSimulation(cfg);
-    applyTurbo(cfg.tuning);
+    cfg.tuning.turbo = true;
     RunResult turbo = runProfiledSimulation(cfg);
     EXPECT_LT(turbo.hostSeconds, base.hostSeconds);
     // Bounded by the frequency ratio 4.1/3.1.
