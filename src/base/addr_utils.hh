@@ -73,13 +73,6 @@ cacheTag(Addr a, unsigned line_bytes, unsigned num_sets)
                  std::countr_zero(num_sets));
 }
 
-/** Page number at the given power-of-two page size. */
-constexpr std::uint64_t
-pageNumber(Addr a, std::uint64_t page_bytes)
-{
-    return a / page_bytes;
-}
-
 } // namespace g5p
 
 #endif // G5P_BASE_ADDR_UTILS_HH

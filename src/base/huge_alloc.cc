@@ -61,8 +61,7 @@ ThpArena::mapRegion(std::size_t bytes)
             region.base = reinterpret_cast<void *>(aligned);
             region.mapped = true;
 #ifdef MADV_HUGEPAGE
-            if (::madvise(region.base, size, MADV_HUGEPAGE) == 0)
-                hugeAdvised_ = true;
+            ::madvise(region.base, size, MADV_HUGEPAGE);
 #endif
             return region;
         }
@@ -84,7 +83,6 @@ ThpArena::allocate(std::size_t bytes)
         // Oversized request: dedicated region, current cursor kept.
         Region region = mapRegion(need);
         regions_.push_back(region);
-        bytesAllocated_ += need;
         return region.base;
     }
 
@@ -98,7 +96,6 @@ ThpArena::allocate(std::size_t bytes)
     void *out = cursor_;
     cursor_ += need;
     remaining_ -= need;
-    bytesAllocated_ += need;
     return out;
 }
 

@@ -57,15 +57,6 @@ class ThpArena
      */
     void *allocate(std::size_t bytes);
 
-    /** Whole-arena statistics (for tests and the bench report). @{ */
-    std::size_t regionsMapped() const { return regions_.size(); }
-    std::size_t bytesAllocated() const { return bytesAllocated_; }
-
-    /** True if at least one region was successfully madvise()d
-     *  MADV_HUGEPAGE. False on fallback paths. */
-    bool hugePagesAdvised() const { return hugeAdvised_; }
-    /** @} */
-
     /**
      * True when THP backing is compiled in and not disabled via the
      * `G5P_NO_THP` environment variable (checked once per process).
@@ -86,8 +77,6 @@ class ThpArena
     std::vector<Region> regions_;
     std::byte *cursor_ = nullptr;
     std::size_t remaining_ = 0;
-    std::size_t bytesAllocated_ = 0;
-    bool hugeAdvised_ = false;
 };
 
 /**

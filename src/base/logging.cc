@@ -6,24 +6,8 @@
 namespace g5p
 {
 
-Logger::Sink Logger::sink_ = &Logger::stderrSink;
-
-Logger::Sink
-Logger::setSink(Sink sink)
-{
-    Sink prev = sink_;
-    sink_ = sink ? sink : &Logger::stderrSink;
-    return prev;
-}
-
 void
 Logger::log(LogLevel level, const std::string &msg)
-{
-    sink_(level, msg);
-}
-
-void
-Logger::stderrSink(LogLevel level, const std::string &msg)
 {
     const char *prefix = "";
     switch (level) {
@@ -34,13 +18,6 @@ Logger::stderrSink(LogLevel level, const std::string &msg)
       case LogLevel::Debug:  prefix = "debug: "; break;
     }
     std::fprintf(stderr, "%s%s\n", prefix, msg.c_str());
-}
-
-void
-Logger::quietSink(LogLevel level, const std::string &msg)
-{
-    if (level == LogLevel::Panic || level == LogLevel::Fatal)
-        stderrSink(level, msg);
 }
 
 namespace detail

@@ -21,29 +21,12 @@ namespace g5p
 /** Severity classes understood by the logger. */
 enum class LogLevel { Panic, Fatal, Warn, Inform, Debug };
 
-/**
- * Process-wide logging sink. Tests can silence or capture output by
- * swapping the sink function.
- */
+/** Process-wide logger: every message goes to stderr. */
 class Logger
 {
   public:
-    using Sink = void (*)(LogLevel, const std::string &);
-
-    /** Replace the output sink; returns the previous sink. */
-    static Sink setSink(Sink sink);
-
-    /** Emit one message at @p level through the current sink. */
+    /** Emit one message at @p level, prefixed with the level. */
     static void log(LogLevel level, const std::string &msg);
-
-    /** Default sink: prefix + stderr. */
-    static void stderrSink(LogLevel level, const std::string &msg);
-
-    /** Suppress everything below Fatal (useful in benchmarks). */
-    static void quietSink(LogLevel level, const std::string &msg);
-
-  private:
-    static Sink sink_;
 };
 
 namespace detail

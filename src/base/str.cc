@@ -72,11 +72,4 @@ padRight(const std::string &s, std::size_t width)
     return s + std::string(width - s.size(), ' ');
 }
 
-bool
-startsWith(const std::string &s, const std::string &prefix)
-{
-    return s.size() >= prefix.size() &&
-        s.compare(0, prefix.size(), prefix) == 0;
-}
-
 } // namespace g5p

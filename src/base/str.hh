@@ -30,9 +30,6 @@ std::string padLeft(const std::string &s, std::size_t width);
 /** Right-pad @p s to @p width with spaces. */
 std::string padRight(const std::string &s, std::size_t width);
 
-/** True if @p s starts with @p prefix. */
-bool startsWith(const std::string &s, const std::string &prefix);
-
 } // namespace g5p
 
 #endif // G5P_BASE_STR_HH

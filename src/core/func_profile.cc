@@ -13,13 +13,4 @@ FuncProfile::distinctFunctions() const
     return count;
 }
 
-std::uint64_t
-FuncProfile::totalCalls() const
-{
-    std::uint64_t total = 0;
-    for (auto c : calls_)
-        total += c;
-    return total;
-}
-
 } // namespace g5p::core

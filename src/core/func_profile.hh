@@ -34,9 +34,6 @@ class FuncProfile : public trace::TraceConsumer
     /** Number of distinct functions called at least once. */
     std::size_t distinctFunctions() const;
 
-    /** Total dynamic calls. */
-    std::uint64_t totalCalls() const;
-
     const std::vector<std::uint64_t> &calls() const { return calls_; }
 
   private:

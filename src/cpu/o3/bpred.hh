@@ -55,11 +55,6 @@ class BranchPredictor
     void update(Addr pc, bool taken, Addr target,
                 const isa::StaticInst &inst);
 
-    /** @{ Counters. */
-    std::uint64_t lookups() const { return lookups_; }
-    std::uint64_t btbMisses() const { return btbMisses_; }
-    /** @} */
-
     /** @{ Checkpointing: write/read into the current section. */
     void serialize(sim::CheckpointOut &cp) const;
     void unserialize(const sim::CheckpointIn &cp);

@@ -47,14 +47,6 @@ class Decoder
     /** Decode-cache hits. */
     std::uint64_t numCacheHits() const { return numCacheHits_; }
 
-    /** Fraction of decode() calls served from the cache. */
-    double
-    cacheHitRate() const
-    {
-        return numDecodes_ ? (double)numCacheHits_ /
-                             (double)numDecodes_ : 0.0;
-    }
-
     /** Build a StaticInst without caching (tests, disassembly). */
     static StaticInstPtr decodeOne(std::uint64_t word);
 

@@ -55,12 +55,6 @@ encode(Opcode op, RegIndex rd, RegIndex rs1, RegIndex rs2,
            (std::uint64_t)(std::uint32_t)imm;
 }
 
-Opcode
-rawOpcode(std::uint64_t word)
-{
-    return (Opcode)(word >> 56);
-}
-
 void
 StaticInst::completeAcc(ExecContext &ctx, std::uint64_t data) const
 {

@@ -269,9 +269,6 @@ class SysInst : public StaticInst
 std::uint64_t encode(Opcode op, RegIndex rd, RegIndex rs1, RegIndex rs2,
                      std::int32_t imm);
 
-/** Extract the opcode field of a machine word. */
-Opcode rawOpcode(std::uint64_t word);
-
 } // namespace g5p::isa
 
 #endif // G5P_ISA_INST_HH

@@ -98,10 +98,6 @@ class Cache : public sim::ClockedObject
     /** Coherence: drop the line (invalidate from a sibling). */
     void invalidateLine(Addr addr);
 
-    /** True while misses or deferred requests are outstanding. */
-    bool hasPendingMisses() const
-    { return mshrInUse_ != 0 || deferredCount_ != 0; }
-
     /** Upgrades that lost the race to a crossing invalidation. */
     std::uint64_t upgradeRaces() const { return upgradeRaces_; }
 

@@ -80,16 +80,6 @@ FaultInjector::coreFaults(int core)
 }
 
 unsigned
-FaultInjector::dropsInjectedOn(int core) const
-{
-    if (core < 0)
-        return shared_.drops;
-    return (std::size_t)core < perCore_.size()
-               ? perCore_[(std::size_t)core].drops
-               : 0;
-}
-
-unsigned
 FaultInjector::delaysInjectedOn(int core) const
 {
     if (core < 0)

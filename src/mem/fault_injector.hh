@@ -109,11 +109,9 @@ class FaultInjector : public sim::SimObject, private TimingFaultHook
     unsigned ioFaultsInjected() const { return ioFaultsDone_; }
     /** @} */
 
-    /** @{ Per-core response-fault counts (0 for untouched cores;
-     *  pass -1 for the shared no-requestor stream). */
-    unsigned dropsInjectedOn(int core) const;
+    /** Per-core response-delay count (0 for untouched cores; pass
+     *  -1 for the shared no-requestor stream). */
     unsigned delaysInjectedOn(int core) const;
-    /** @} */
 
     /** The bit flips performed so far, in schedule order. */
     const std::vector<std::pair<Addr, unsigned>> &flipLog() const

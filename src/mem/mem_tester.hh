@@ -94,7 +94,6 @@ class MemTester : public sim::ClockedObject
     /** @} */
 
     /** @{ Rig access for white-box assertions. */
-    CoherentXbar &testXbar() { return *xbar_; }
     Cache &l1(unsigned i) { return *l1s_.at(i); }
     unsigned numCores() const { return params_.numCores; }
     /** @} */

@@ -89,9 +89,6 @@ class PhysicalMemory : public sim::SimObject
      */
     std::uint8_t flipBit(Addr addr, unsigned bit);
 
-    /** Host address corresponding to guest physical @p addr. */
-    HostAddr hostAddr(Addr addr) const { return hostBase_ + addr; }
-
     /** Number of distinct 4KB pages ever touched. */
     std::uint64_t pagesTouched() const { return pagesTouched_; }
 

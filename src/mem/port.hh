@@ -102,7 +102,6 @@ class RequestPort
      */
     void unbind();
 
-    bool isBound() const { return peer_ != nullptr; }
     const std::string &name() const { return name_; }
 
     /** Atomic access: returns total latency in ticks. */

@@ -60,8 +60,6 @@ class CoherentXbar : public sim::ClockedObject
     /** @{ Coherence introspection for the tester and invariants. */
     /** Bitmask of upstream ports that may hold @p addr's line. */
     std::uint32_t holdersOf(Addr addr) const;
-    unsigned numUpstreamPorts() const
-    { return (unsigned)upstreamPorts_.size(); }
     /** The snooping cache behind upstream port @p i (may be null). */
     Cache *snooper(unsigned i) const { return snoopers_[i]; }
     /** Lines currently tracked with more than one possible holder. */

@@ -127,16 +127,6 @@ ThreadRuntime::barrier(unsigned cpu_id, std::uint64_t id,
     return 1;
 }
 
-unsigned
-ThreadRuntime::runningThreads() const
-{
-    unsigned n = 0;
-    for (unsigned c = 1; c < numCpus_; ++c)
-        if (state_[c] == TState::Running)
-            ++n;
-    return n;
-}
-
 void
 ThreadRuntime::emitThreadEntry(isa::Assembler &as)
 {

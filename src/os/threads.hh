@@ -89,10 +89,8 @@ class ThreadRuntime : public sim::SimObject
                             const std::string &label_prefix);
     /** @} */
 
-    /** @{ Host-side introspection for tests. */
-    unsigned runningThreads() const;
+    /** Host-side introspection for tests. */
     std::uint64_t spawns() const { return spawns_; }
-    /** @} */
 
     void serialize(sim::CheckpointOut &cp) const override;
     void unserialize(const sim::CheckpointIn &cp) override;

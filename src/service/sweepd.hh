@@ -190,7 +190,6 @@ class SweepService
     /** Ask the service to stop after the current round commits
      *  (async-signal-safe; the daemon's SIGTERM handler calls it). */
     void requestStop() { stop_.store(true); }
-    bool stopRequested() const { return stop_.load(); }
 
     /** Arm a chaos crash: the @p countdown-th time execution passes
      *  @p point, throw ServiceCrash. */

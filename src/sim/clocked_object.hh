@@ -34,13 +34,6 @@ class ClockDomain
 
     Tick period() const { return period_; }
 
-    /** Frequency in Hz (rounded). */
-    std::uint64_t
-    frequencyHz() const
-    {
-        return simTicksPerSecond / period_;
-    }
-
   private:
     Tick period_;
 };
@@ -60,9 +53,6 @@ class ClockedObject : public SimObject
         : SimObject(sim, name, parent, state_bytes),
           period_(domain.period())
     {}
-
-    /** Ticks per cycle of this object's clock. */
-    Tick clockPeriod() const { return period_; }
 
     /** Current time in whole cycles. */
     Cycles

@@ -123,12 +123,6 @@ EventPool::slabsAllocated()
     return PoolState::instance().slabCount;
 }
 
-bool
-EventPool::usingHugePages()
-{
-    return PoolState::instance().arena->hugePagesAdvised();
-}
-
 static_assert(sizeof(EventFunctionWrapper) <= EventPool::blockSize,
               "EventFunctionWrapper must fit an EventPool block");
 

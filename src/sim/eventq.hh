@@ -163,10 +163,6 @@ class EventPool
 
     /** Slabs this thread carved from its arena so far. */
     static std::size_t slabsAllocated();
-
-    /** True if this thread's slab arena got MADV_HUGEPAGE backing
-     *  (false before first growth, or on fallback paths). */
-    static bool usingHugePages();
 };
 
 /** Event wrapping an arbitrary callback, like gem5's version. */
@@ -396,9 +392,6 @@ class EventQueue
 
     /** Total schedule()/reschedule() calls over the lifetime. */
     std::uint64_t numScheduled() const { return numScheduled_; }
-
-    /** Scheduled auto-delete (transient callback) events. */
-    std::size_t numTransient() const { return transientScheduled_; }
 
     /**
      * True when no transient events are pending. Every in-flight

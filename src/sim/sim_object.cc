@@ -30,13 +30,4 @@ SimObject::~SimObject()
     sim_.unregisterObject(this);
 }
 
-std::string
-SimObject::fullName() const
-{
-    std::string full = statPrefix();
-    if (!full.empty())
-        full.pop_back(); // statPrefix ends in '.'
-    return full;
-}
-
 } // namespace g5p::sim

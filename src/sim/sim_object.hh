@@ -61,9 +61,6 @@ class SimObject : public EventManager, public stats::Group,
      */
     std::uint32_t id() const { return id_; }
 
-    /** Fully qualified hierarchical name ("system.cpu0"). */
-    std::string fullName() const;
-
     /** Phase 1: resolve inter-object references. */
     virtual void init() {}
 
@@ -89,9 +86,6 @@ class SimObject : public EventManager, public stats::Group,
         trace::recordData(stateBase_ + offset % stateBytes_, size,
                           is_write);
     }
-
-    /** Base host address of this object's state region. */
-    HostAddr stateBase() const { return stateBase_; }
 
     /** Size of the state region in bytes. */
     std::size_t stateBytes() const { return stateBytes_; }

@@ -25,8 +25,8 @@ class Info;
 /**
  * The one traversal over a stats hierarchy. Every consumer — the
  * stats.txt dump, checkpoint snapshots, golden-fixture digests, the
- * telemetry exporter — implements this instead of walking
- * statList()/childGroups() by hand, so dotted naming and visit order
+ * telemetry exporter — implements this instead of walking a group's
+ * stats and childGroups() by hand, so dotted naming and visit order
  * are defined in exactly one place (Group::visit).
  *
  * Order: a group's own stats in registration order (stat() then its
@@ -226,7 +226,6 @@ class Group
     /** Hook for subclasses to register stats lazily (gem5 regStats). */
     virtual void regStats() {}
 
-    const std::vector<Info *> &statList() const { return stats_; }
     const std::vector<Group *> &childGroups() const { return children_; }
 
     /** Position of @p child in childGroups(); npos if absent. */
