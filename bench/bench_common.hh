@@ -18,6 +18,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/str.hh"
@@ -87,6 +88,25 @@ struct BenchOptions
     }
 };
 
+/**
+ * A run's identity: every RunConfig field except the profiler, which
+ * observes a run without changing its result. The nested configs
+ * compare field by field, and binding every member here stops a field
+ * added to RunConfig from compiling until it is placed in the key (or
+ * left out here on purpose).
+ */
+inline auto
+runKey(const core::RunConfig &cfg)
+{
+    const auto &[workload, cpuModel, mode, guestCpus, scale,
+                 maxGuestInsts, fastForwardInsts, platform, corun,
+                 tuning, seed, run, profiler] = cfg;
+    (void)profiler;
+    return std::tuple(workload, cpuModel, mode, guestCpus, scale,
+                      maxGuestInsts, fastForwardInsts, platform, corun,
+                      tuning, seed, run);
+}
+
 /** Cache of profiled runs so figures sharing points don't re-run. */
 class RunCache
 {
@@ -97,11 +117,13 @@ class RunCache
     get(core::RunConfig cfg)
     {
         normalize(cfg);
-        std::string key = keyOf(cfg);
+        Key key = runKey(cfg);
         auto it = cache_.find(key);
         if (it != cache_.end())
             return it->second;
-        std::cerr << "  running " << key << " ...\n";
+        std::cerr << "  running " << cfg.workload << " "
+                  << os::cpuModelName(cfg.cpuModel) << " on "
+                  << cfg.platform.name << " ...\n";
         auto [pos, _] =
             cache_.emplace(key, core::runProfiledSimulation(cfg));
         return pos->second;
@@ -118,10 +140,10 @@ class RunCache
     prefetch(std::vector<core::RunConfig> configs)
     {
         std::vector<core::RunConfig> pending;
-        std::vector<std::string> keys;
+        std::vector<Key> keys;
         for (core::RunConfig &cfg : configs) {
             normalize(cfg);
-            std::string key = keyOf(cfg);
+            Key key = runKey(cfg);
             if (cache_.count(key) ||
                 std::find(keys.begin(), keys.end(), key) !=
                     keys.end())
@@ -149,23 +171,10 @@ class RunCache
         cfg.maxGuestInsts = opts_.maxGuestInsts;
     }
 
-    std::string
-    keyOf(const core::RunConfig &cfg) const
-    {
-        return cfg.workload + "|" +
-            os::cpuModelName(cfg.cpuModel) + "|" +
-            os::simModeName(cfg.mode) + "|" + cfg.platform.name +
-            "|" + std::to_string(cfg.corun.processes) +
-            (cfg.corun.smt ? "s" : "") +
-            "|hp" + std::to_string((int)cfg.tuning.hugePages) +
-            "|o3" + std::to_string(cfg.tuning.optO3) +
-            "|f" + fmtDouble(cfg.tuning.freqGHzOverride, 2) +
-            "|t" + std::to_string(cfg.tuning.turbo) +
-            "|seed" + std::to_string(cfg.seed);
-    }
+    using Key = decltype(runKey(core::RunConfig{}));
 
     BenchOptions opts_;
-    std::map<std::string, core::RunResult> cache_;
+    std::map<Key, core::RunResult> cache_;
 };
 
 /** Geometric mean (Fig. 1 aggregates per-workload ratios this way). */

@@ -10,6 +10,7 @@
 #ifndef G5P_CORE_EXPERIMENT_HH
 #define G5P_CORE_EXPERIMENT_HH
 
+#include <compare>
 #include <string>
 
 #include "core/telemetry.hh"
@@ -55,6 +56,8 @@ struct TuningConfig
 
     /** TurboBoost enabled. */
     bool turbo = false;
+
+    auto operator<=>(const TuningConfig &) const = default;
 };
 
 /** Everything a profiled run needs. */

@@ -10,6 +10,7 @@
 #ifndef G5P_HOST_BRANCH_PREDICTOR_HH
 #define G5P_HOST_BRANCH_PREDICTOR_HH
 
+#include <compare>
 #include <vector>
 
 #include "base/types.hh"
@@ -25,6 +26,8 @@ struct HostBpredGeometry
     unsigned btbEntries = 4096;
     unsigned rasEntries = 16;
     unsigned indirectEntries = 512;
+
+    auto operator<=>(const HostBpredGeometry &) const = default;
 };
 
 /** Classification of one resolved branch. */

@@ -10,6 +10,7 @@
 #ifndef G5P_HOST_CACHE_MODEL_HH
 #define G5P_HOST_CACHE_MODEL_HH
 
+#include <compare>
 #include <cstdint>
 
 #include "base/types.hh"
@@ -27,6 +28,8 @@ struct HostCacheGeometry
 
     std::uint64_t numLines() const { return sizeBytes / lineBytes; }
     std::uint64_t numSets() const { return numLines() / assoc; }
+
+    auto operator<=>(const HostCacheGeometry &) const = default;
 };
 
 class HostCache

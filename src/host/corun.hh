@@ -13,6 +13,8 @@
 #ifndef G5P_HOST_CORUN_HH
 #define G5P_HOST_CORUN_HH
 
+#include <compare>
+
 #include "host/platforms.hh"
 
 namespace g5p::host
@@ -23,6 +25,8 @@ struct CorunScenario
 {
     unsigned processes = 1;  ///< concurrent gem5 processes
     bool smt = false;        ///< two processes per physical core
+
+    auto operator<=>(const CorunScenario &) const = default;
 };
 
 /** The three Fig. 1 scenarios for a platform. */

@@ -15,6 +15,7 @@
 #ifndef G5P_HOST_DSB_HH
 #define G5P_HOST_DSB_HH
 
+#include <compare>
 #include <optional>
 
 #include "base/types.hh"
@@ -35,6 +36,8 @@ struct DsbGeometry
      * µop/branch limits, which branchy simulator code hits often.
      */
     unsigned ineligiblePct = 25;
+
+    auto operator<=>(const DsbGeometry &) const = default;
 };
 
 class DsbModel

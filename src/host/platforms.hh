@@ -8,6 +8,7 @@
 #ifndef G5P_HOST_PLATFORMS_HH
 #define G5P_HOST_PLATFORMS_HH
 
+#include <compare>
 #include <string>
 
 #include "host/branch_predictor.hh"
@@ -79,6 +80,10 @@ struct HostPlatformConfig
     unsigned coresPerLlc = 20; ///< cores sharing the LLC
     double memBwGBs = 141.0;
     /** @} */
+
+    /** Field by field, name included: two configs are the same
+     *  machine only if every parameter matches. */
+    auto operator<=>(const HostPlatformConfig &) const = default;
 
     /** Effective frequency in Hz (turbo if enabled). */
     double

@@ -12,6 +12,7 @@
 #ifndef G5P_HOST_TLB_MODEL_HH
 #define G5P_HOST_TLB_MODEL_HH
 
+#include <compare>
 #include <vector>
 
 #include "base/types.hh"
@@ -67,6 +68,8 @@ struct HostTlbGeometry
 {
     unsigned entries = 128;
     unsigned assoc = 8;
+
+    auto operator<=>(const HostTlbGeometry &) const = default;
 };
 
 class HostTlb

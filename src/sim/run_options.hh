@@ -14,6 +14,7 @@
 #ifndef G5P_SIM_RUN_OPTIONS_HH
 #define G5P_SIM_RUN_OPTIONS_HH
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -46,6 +47,8 @@ struct WatchdogConfig
 
     /** Last-N serviced events kept for the diagnostic dump. */
     std::size_t flightRecorderDepth = 64;
+
+    auto operator<=>(const WatchdogConfig &) const = default;
 };
 
 /**
@@ -63,6 +66,8 @@ struct CheckpointRetryConfig
     /** First retry delay in milliseconds, doubling per attempt
      *  (0 = retry immediately, no sleep). */
     double backoffBaseMs = 1.0;
+
+    auto operator<=>(const CheckpointRetryConfig &) const = default;
 };
 
 /** Everything that controls how a simulation runs (not what it is). */
@@ -84,6 +89,8 @@ struct RunOptions
     /** Overrides mem::FaultInjectorParams::seed when nonzero, so a
      *  fault campaign is re-seeded from the run control in one place. */
     std::uint64_t faultSeed = 0;
+
+    auto operator<=>(const RunOptions &) const = default;
 };
 
 } // namespace g5p::sim
