@@ -1,9 +1,11 @@
 # Run one example with --profile and fail unless it exits 0, prints
 # its "Chrome trace ... written" line and leaves a non-empty trace.
+# With -DREJECT=<regex> the example must instead refuse the command
+# line: exit 1, print a message matching <regex>, and write no trace.
 #
 # Usage:
-#   cmake -DTRACE=<trace.json> -P check_profiled_run.cmake \
-#         -- <example> [args...]
+#   cmake -DTRACE=<trace.json> [-DREJECT=<regex>] \
+#         -P check_profiled_run.cmake -- <example> [args...]
 #
 # Everything after "--" is the example's command line; this script
 # appends "--profile <trace.json>".
@@ -30,6 +32,19 @@ execute_process(COMMAND ${command} --profile "${TRACE}"
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)
 message("${out}${err}")
+
+if(DEFINED REJECT)
+    if(NOT rc EQUAL 1)
+        message(FATAL_ERROR "example exited with '${rc}', not 1")
+    endif()
+    if(NOT "${out}${err}" MATCHES "${REJECT}")
+        message(FATAL_ERROR "no message matching '${REJECT}'")
+    endif()
+    if(EXISTS "${TRACE}")
+        message(FATAL_ERROR "a refused run wrote '${TRACE}'")
+    endif()
+    return()
+endif()
 
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "example exited with '${rc}'")

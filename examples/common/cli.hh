@@ -31,7 +31,9 @@
  *   --sample=<K,W[,seed]>      SimPoint-style sampling: estimate the
  *                              whole run from K detailed intervals of
  *                              W instructions (checkpoint farm +
- *                              parallel detail via --jobs)
+ *                              parallel detail via --jobs); not with
+ *                              --profile, --profile-batch or
+ *                              --metrics
  *   --sample-warmup=<insts>    detailed instructions run before each
  *                              measured window to re-warm the branch
  *                              predictor and pipeline state the
@@ -195,6 +197,7 @@ parseCli(int argc, char **argv, const CliSpec &spec = {})
     CliOptions opts;
     std::vector<std::string> pos;
     bool cpu_flag_given = false;
+    const char *profiler_flag = nullptr; // last profiling flag seen
 
     auto is_extra = [&](const std::string &flag) {
         return std::find(spec.extraFlags.begin(),
@@ -235,13 +238,16 @@ parseCli(int argc, char **argv, const CliSpec &spec = {})
             opts.profiler.enabled = true;
             opts.profiler.traceSlices = true;
             opts.profilePath = value;
+            profiler_flag = "--profile";
         } else if (flag == "--profile-batch") {
             opts.profiler.batchEvents =
                 (std::uint32_t)std::strtoul(value.c_str(), nullptr,
                                             0);
+            profiler_flag = "--profile-batch";
         } else if (flag == "--metrics") {
             opts.profiler.enabled = true;
             opts.profiler.metricsPath = value;
+            profiler_flag = "--metrics";
         } else if (flag == "--cpu") {
             opts.cpuModel = parseCpuModel(value);
             cpu_flag_given = true;
@@ -319,6 +325,14 @@ parseCli(int argc, char **argv, const CliSpec &spec = {})
         g5p_throw(ConfigError, "cli", 0,
                   "unexpected argument '%s' (usage: %s)",
                   pos[scale_at + 1].c_str(), spec.usage.c_str());
+    // A sampled run builds many machines, possibly on the worker
+    // pool, and one sim::Profiler cannot observe pooled runs
+    // (core/parallel.hh): refuse rather than write no trace.
+    if (opts.sampling() && profiler_flag)
+        g5p_throw(ConfigError, "cli", 0,
+                  "--sample cannot be combined with %s: a sampled run "
+                  "builds many machines and has no single profiler",
+                  profiler_flag);
     if (opts.switchCpuGiven) {
         if (opts.fastForwardInsts == 0)
             g5p_throw(ConfigError, "cli", 0,

@@ -26,7 +26,9 @@
  * few thousand detailed instructions before measuring, re-warming
  * the branch predictor the fast-forward does not model. --jobs
  * parallelizes the intervals; the report is byte-identical to a
- * serial run.
+ * serial run. A sampled run builds many machines, so it cannot be
+ * self-profiled: --profile, --profile-batch and --metrics are
+ * refused with --sample.
  *
  * With --profile=trace.json the run is *also* self-profiled for
  * real: the modeled hot-function CDF and the measured wall-clock
