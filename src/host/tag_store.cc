@@ -6,20 +6,30 @@
 namespace g5p::host
 {
 
-TagStore::TagStore(std::uint64_t sets, unsigned assoc, const char *what)
-    : assoc_(assoc)
+namespace
+{
+
+/** Bytes of a block of @p sets sets, after the geometry check, so a
+ *  bad geometry fails with its own message and not a failed map. */
+std::size_t
+blockBytes(std::uint64_t sets, unsigned assoc, const char *what)
 {
     g5p_assert(isPowerOf2(sets) && assoc > 0,
                "%s sets (%llu) must be a power of two (%u ways)", what,
                (unsigned long long)sets, assoc);
+    return sets * 2 * assoc * sizeof(std::uint64_t);
+}
+
+} // namespace
+
+// The block is mapped, not calloc'd: calloc leaves untouched sets
+// non-resident only until glibc has freed a block that size, and
+// zero-fills every later one (DESIGN.md "Where the big arrays live").
+TagStore::TagStore(std::uint64_t sets, unsigned assoc, const char *what)
+    : assoc_(assoc), block_(blockBytes(sets, assoc, what))
+{
     setBits_ = floorLog2(sets);
     setMask_ = sets - 1;
-    // calloc: a large block comes straight from the kernel already
-    // zeroed, so only the sets a run touches ever become resident.
-    block_.reset(static_cast<std::uint64_t *>(
-        std::calloc(sets * 2 * assoc, sizeof(std::uint64_t))));
-    g5p_assert(block_, "%s: cannot allocate %llu sets", what,
-               (unsigned long long)sets);
 }
 
 void
@@ -47,7 +57,8 @@ TagStore::fill(std::uint64_t *words, std::uint64_t word)
 bool
 TagStore::contains(std::uint64_t set, std::uint64_t tag) const
 {
-    const std::uint64_t *words = &block_[set * 2 * assoc_];
+    const std::uint64_t *words =
+        block_.data<std::uint64_t>() + set * 2 * assoc_;
     for (unsigned w = 0; w < assoc_; ++w)
         if (words[w] == (tag << 1 | 1))
             return true;

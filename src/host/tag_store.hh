@@ -11,9 +11,8 @@
 #define G5P_HOST_TAG_STORE_HH
 
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 
+#include "base/anon_mapping.hh"
 #include "base/compiler.hh"
 
 namespace g5p::host
@@ -58,20 +57,16 @@ class TagStore
      *  a scan of the set's words. */
     G5P_NOINLINE void fill(std::uint64_t *words, std::uint64_t word);
 
-    struct Free
-    {
-        void operator()(std::uint64_t *p) const { std::free(p); }
-    };
-
     unsigned assoc_;
     unsigned setBits_;
     std::uint64_t setMask_;
     /**
      * One block of 2 * assoc words per set: the set's entries, each
      * `tag << 1 | valid`, then their LRU stamps. A lookup reads only
-     * the entries; a hit writes one stamp.
+     * the entries; a hit writes one stamp. Mapped zeros, so only the
+     * sets a run touches ever become resident.
      */
-    std::unique_ptr<std::uint64_t[], Free> block_;
+    base::AnonMapping block_;
     std::uint64_t lruCounter_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
@@ -81,7 +76,7 @@ class TagStore
 inline bool
 TagStore::access(std::uint64_t set, std::uint64_t tag)
 {
-    std::uint64_t *words = &block_[set * 2 * assoc_];
+    std::uint64_t *words = block_.data<std::uint64_t>() + set * 2 * assoc_;
     std::uint64_t word = tag << 1 | 1;
     // At most one way holds a tag, so scan every way instead of
     // leaving at the match: which way hits is data, and an early

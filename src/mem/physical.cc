@@ -12,7 +12,7 @@ PhysicalMemory::PhysicalMemory(sim::Simulator &sim,
                                const std::string &name,
                                std::uint64_t size_bytes)
     : sim::SimObject(sim, name, nullptr, /* descriptor only */ 128),
-      data_(size_bytes, 0),
+      data_(size_bytes),
       touchedPages_((size_bytes >> pageShift) + 1, false)
 {
     // The array itself is the dominant simulator data structure;
@@ -34,8 +34,9 @@ PhysicalMemory::flipBit(Addr addr, unsigned bit)
 {
     checkRange(addr, 1);
     g5p_assert(bit < 8, "flipBit: bit index %u out of range", bit);
-    data_[addr] ^= (std::uint8_t)(1u << bit);
-    return data_[addr];
+    std::uint8_t *byte = data_.data() + addr;
+    *byte ^= (std::uint8_t)(1u << bit);
+    return *byte;
 }
 
 std::uint64_t

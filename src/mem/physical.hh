@@ -9,6 +9,10 @@
  * corresponding address. This reproduces the paper's observation that
  * gem5's dynamic working set grows only as fast as the simulated
  * workload touches new pages (§IV-A).
+ *
+ * The array is an anonymous mapping (base/anon_mapping.hh), as in
+ * gem5, so mg5's own footprint grows the same way: building a machine
+ * costs no host page until the guest touches it.
  */
 
 #ifndef G5P_MEM_PHYSICAL_HH
@@ -18,6 +22,7 @@
 #include <cstring>
 #include <vector>
 
+#include "base/anon_mapping.hh"
 #include "base/logging.hh"
 #include "sim/sim_object.hh"
 
@@ -92,6 +97,9 @@ class PhysicalMemory : public sim::SimObject
     /** Number of distinct 4KB pages ever touched. */
     std::uint64_t pagesTouched() const { return pagesTouched_; }
 
+    /** The host mapping behind guest memory (for residency checks). */
+    const base::AnonMapping &backing() const { return data_; }
+
     void serialize(sim::CheckpointOut &cp) const override;
     void unserialize(const sim::CheckpointIn &cp) override;
 
@@ -120,7 +128,8 @@ class PhysicalMemory : public sim::SimObject
         }
     }
 
-    mutable std::vector<std::uint8_t> data_;
+    /** Guest bytes: zero until written, host-resident once touched. */
+    base::AnonMapping data_;
     mutable std::vector<bool> touchedPages_;
     mutable std::uint64_t pagesTouched_ = 0;
     HostAddr hostBase_;

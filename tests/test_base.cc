@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the base utilities: PRNG, string helpers, address
- * arithmetic.
+ * arithmetic, lazily zeroed mappings.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "base/addr_utils.hh"
+#include "base/anon_mapping.hh"
 #include "base/random.hh"
 #include "base/str.hh"
+#include "residency.hh"
 
 using namespace g5p;
 
@@ -175,3 +178,26 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheIndexing,
     ::testing::Combine(::testing::Values(32u, 64u, 128u),
                        ::testing::Values(16u, 64u, 512u, 4096u)));
+
+TEST(AnonMapping, ZeroAndNonResidentUntilTouched)
+{
+    // 8 MiB: the size of the Xeon model's LLC tag block.
+    const std::size_t page = test::hostPageBytes();
+    const std::size_t pages = (8u << 20) / page;
+
+    base::AnonMapping zeros(pages * page);
+    EXPECT_EQ(zeros.size(), pages * page);
+    EXPECT_EQ(test::residentPages(zeros.data(), zeros.size()), 0u);
+    const std::uint8_t *bytes = zeros.data();
+    EXPECT_TRUE(std::all_of(bytes, bytes + zeros.size(),
+                            [](std::uint8_t b) { return b == 0; }));
+
+    // Writing one byte in each of k spread pages makes exactly those
+    // k pages resident.
+    base::AnonMapping touched(pages * page);
+    EXPECT_EQ(test::residentPages(touched.data(), touched.size()), 0u);
+    const std::size_t k = 37;
+    for (std::size_t i = 0; i < k; ++i)
+        touched.data()[(i * 53 % pages) * page + i] = 1;
+    EXPECT_EQ(test::residentPages(touched.data(), touched.size()), k);
+}

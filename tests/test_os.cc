@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "os/system.hh"
+#include "residency.hh"
 #include "workloads/workload.hh"
 
 using namespace g5p;
@@ -225,6 +226,40 @@ TEST(FsKernel, TimerTicksAccumulate)
     const auto *stat = sim.findStat("kernel.timerTicks");
     ASSERT_NE(stat, nullptr);
     EXPECT_GE(stat->total(), 2.0);
+}
+
+TEST(System, GuestMemoryStaysOutOfHostMemoryUntilTouched)
+{
+    // Building a machine must cost only the guest pages its loader
+    // writes, not a zero-fill of all of them. These are the
+    // benchmark's workloads whose images are small; canneal's loader
+    // writes half of guest memory, so it is not among them.
+    struct Case
+    {
+        const char *workload;
+        double scale;
+        unsigned cpus;
+    };
+    for (const Case &c : {Case{"sieve", 0.125, 1},
+                          Case{"water_nsquared_long", 4, 1},
+                          Case{"lu_threads", 7.5, 4}}) {
+        auto wl = workloads::Registry::instance().create(c.workload,
+                                                         c.scale);
+        sim::Simulator sim("system");
+        SystemConfig cfg;
+        cfg.cpuModel = CpuModel::Timing;
+        cfg.numCpus = c.cpus;
+        System system(sim, cfg, *wl);
+
+        const auto &guest = system.physmem().backing();
+        std::size_t pages = guest.size() / test::hostPageBytes();
+        std::size_t resident =
+            test::residentPages(guest.data(), guest.size());
+        EXPECT_LT(resident * 20, pages)
+            << c.workload << ": " << resident << " of " << pages
+            << " guest pages resident after construction ("
+            << system.physmem().pagesTouched() << " touched)";
+    }
 }
 
 TEST(SystemConfig, StatsDumpContainsAllComponents)
