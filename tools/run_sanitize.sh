@@ -57,14 +57,16 @@ fi
 # Profiler pass: the self-observability layer instruments the event
 # loop's hottest path (beginService/endService) and the trace writer
 # round-trips every stat and event name through JSON escaping. Run the
-# profiler suite, the overhead gate and the profiled example runs
-# (ExampleProfile: every example that attaches a profiler, writing a
-# Chrome trace) sanitized so that slice-ring bookkeeping, span nesting
-# across checkpoint/restore and the string paths are exercised under
-# ASan/UBSan even when a filter narrowed the main pass.
+# profiler suite and the profiled example runs (ExampleProfile: every
+# example that attaches a profiler, writing a Chrome trace) sanitized
+# so that slice-ring bookkeeping, span nesting across
+# checkpoint/restore and the string paths are exercised under
+# ASan/UBSan even when a filter narrowed the main pass. The wall-clock
+# ProfilerOverheadGate exists only in builds without a sanitizer
+# (bench/CMakeLists.txt): its 2% bound is below ASan's own noise.
 if [ "$#" -gt 0 ]; then
     pass "profiler suite (preset: sanitize)" --preset sanitize \
-        -R '^(Profiler|RunOptionsApi|ProfilerOverheadGate|ExampleProfile)'
+        -R '^(Profiler|RunOptionsApi|ExampleProfile)'
 fi
 
 # Sampling pass: the CPU-switch and sampling driver paths carry state
